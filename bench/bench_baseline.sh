@@ -233,13 +233,6 @@ try:
     t3_tot = totals(t3)
     out["table3"] = {"runs": int(sys.argv[6]), "programs": columns(t3),
                      "engine_totals": t3_tot}
-    # Octagon backend contrast: the sparse engine runs under both value
-    # representations (engine names carry a _dbm / _split suffix).  The
-    # acceptance bar is split no slower than the dense DBM overall.
-    dbm, spl = t3_tot.get("sparse_dbm"), t3_tot.get("sparse_split")
-    if dbm and spl and spl["seconds"]:
-        out["table3"]["oct_backend_speedup"] = \
-            round(dbm["seconds"] / spl["seconds"], 3)
 except OSError:
     pass
 

@@ -16,7 +16,6 @@
 #include "domains/AbsState.h"
 #include "domains/IdSet.h"
 #include "oct/Octagon.h"
-#include "oct/SplitOct.h"
 #include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
@@ -115,32 +114,23 @@ void BM_AbsStateCopy(benchmark::State &State) {
 BENCHMARK(BM_AbsStateCopy)
     ->ArgsProduct({{64, 1024, 16384}, {0, 1}});
 
-/// Pack-sized octagons: constraint insertion triggers re-closure.  The
-/// dense backend re-runs the full O(n³) sweep per insertion; the split
-/// backend drains a worklist seeded with the one new edge, so the same
-/// workload contrasts full vs incremental closure.
-template <typename OctT> void octCloseBody(benchmark::State &State) {
+/// Pack-sized octagons: each constraint insertion re-runs the full O(n³)
+/// strong closure.
+void BM_OctClose(benchmark::State &State) {
   uint32_t N = static_cast<uint32_t>(State.range(0));
   Rng R(13);
   for (auto _ : State) {
-    OctT O = OctT::top(N);
+    Oct O = Oct::top(N);
     for (uint32_t I = 0; I + 1 < N; ++I)
       O = O.addDiffConstraint(I, I + 1, R.range(-3, 3));
     benchmark::DoNotOptimize(O.project(0));
   }
 }
-
-void BM_OctClose(benchmark::State &State) { octCloseBody<Oct>(State); }
 BENCHMARK(BM_OctClose)->Arg(2)->Arg(5)->Arg(10);
 
-void BM_SplitOctClose(benchmark::State &State) {
-  octCloseBody<SplitOct>(State);
-}
-BENCHMARK(BM_SplitOctClose)->Arg(2)->Arg(5)->Arg(10);
-
-template <typename OctT> void octJoinBody(benchmark::State &State) {
+void BM_OctJoin(benchmark::State &State) {
   uint32_t N = 10;
-  OctT A = OctT::top(N), B = OctT::top(N);
+  Oct A = Oct::top(N), B = Oct::top(N);
   for (uint32_t I = 0; I + 1 < N; ++I) {
     A = A.addDiffConstraint(I, I + 1, 1);
     B = B.addDiffConstraint(I + 1, I, 2);
@@ -148,12 +138,7 @@ template <typename OctT> void octJoinBody(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(A.join(B));
 }
-
-void BM_OctJoin(benchmark::State &State) { octJoinBody<Oct>(State); }
 BENCHMARK(BM_OctJoin);
-
-void BM_SplitOctJoin(benchmark::State &State) { octJoinBody<SplitOct>(State); }
-BENCHMARK(BM_SplitOctJoin);
 
 void BM_SetDepStorageAdd(benchmark::State &State) {
   Rng R(99);

@@ -34,21 +34,15 @@ struct RunOutcome {
 };
 
 RunOutcome runEngine(const SuiteEntry &E, EngineKind Engine,
-                     OctBackendKind Backend, double TimeLimit) {
+                     double TimeLimit) {
   ChildRunResult R = runInChild(
       [&]() -> std::vector<double> {
         std::unique_ptr<Program> Prog = buildEntry(E);
         OctOptions Opts;
         Opts.Engine = Engine;
-        Opts.Backend = Backend;
         Opts.TimeLimitSec = TimeLimit * 0.95;
         OctRun Run = runOctAnalysis(*Prog, Opts);
-        // Backend-suffixed engine name, so SPA_BENCH_JSON records key
-        // every (bench, engine, backend) cell separately.
-        std::string Eng = engineName(Engine);
-        Eng += '_';
-        Eng += octBackendName(Backend);
-        appendBenchRecord(E.Name, Eng, !Run.timedOut());
+        appendBenchRecord(E.Name, engineName(Engine), !Run.timedOut());
         return {Run.timedOut() ? 1.0 : 0.0, Run.depSeconds(),
                 Run.fixSeconds(), Run.DU.avgSemanticDefSize(),
                 Run.DU.avgSemanticUseSize(), Run.Packs.avgGroupSize()};
@@ -82,23 +76,15 @@ int main() {
   std::printf("Times in seconds, memory in MiB; inf = exceeded limit\n\n");
 
   std::printf("%-20s | %8s %6s | %8s %6s %6s %6s | %6s %6s %8s %6s %6s "
-              "%6s | %8s %7s | %6s %6s %5s\n",
+              "%6s | %6s %6s %5s\n",
               "Program", "Vanilla", "Mem", "Base", "Mem", "Spd.1",
               "Mem.1", "Dep", "Fix", "Total", "Mem", "Spd.2", "Mem.2",
-              "Dbm", "Spd.oct", "D(c)", "U(c)", "pack");
+              "D(c)", "U(c)", "pack");
 
   for (const SuiteEntry &E : octagonSuite(Scale)) {
-    RunOutcome Vanilla =
-        runEngine(E, EngineKind::Vanilla, OctBackendKind::Split, TimeLimit);
-    RunOutcome Base =
-        runEngine(E, EngineKind::Base, OctBackendKind::Split, TimeLimit);
-    RunOutcome Sparse =
-        runEngine(E, EngineKind::Sparse, OctBackendKind::Split, TimeLimit);
-    // Dense-DBM oracle run of the sparse engine: same fixpoint
-    // bit-for-bit, different value representation.  Spd.oct is the
-    // split backend's speedup over it.
-    RunOutcome SparseDbm =
-        runEngine(E, EngineKind::Sparse, OctBackendKind::Dbm, TimeLimit);
+    RunOutcome Vanilla = runEngine(E, EngineKind::Vanilla, TimeLimit);
+    RunOutcome Base = runEngine(E, EngineKind::Base, TimeLimit);
+    RunOutcome Sparse = runEngine(E, EngineKind::Sparse, TimeLimit);
 
     std::string VT = fmtSeconds(Vanilla.Seconds, Vanilla.TimedOut);
     std::string VM = Vanilla.TimedOut ? "N/A" : fmtMiB(Vanilla.PeakRssKiB);
@@ -121,9 +107,6 @@ int main() {
     std::string Mem2 = fmtPercentSaved(
         static_cast<double>(Base.PeakRssKiB),
         static_cast<double>(Sparse.PeakRssKiB), Base.Ok && Sparse.Ok);
-    std::string Dbm = fmtSeconds(SparseDbm.Seconds, SparseDbm.TimedOut);
-    std::string SpdOct = fmtRatio(SparseDbm.Seconds, Sparse.Seconds,
-                                  SparseDbm.Ok && Sparse.Ok);
 
     char DC[16] = "N/A", UC[16] = "N/A", PK[16] = "N/A";
     if (Sparse.Ok) {
@@ -133,20 +116,17 @@ int main() {
     }
 
     std::printf("%-20s | %8s %6s | %8s %6s %6s %6s | %6s %6s %8s %6s %6s "
-                "%6s | %8s %7s | %6s %6s %5s\n",
+                "%6s | %6s %6s %5s\n",
                 E.Name.c_str(), VT.c_str(), VM.c_str(), BT.c_str(),
                 BM.c_str(), Spd1.c_str(), Mem1.c_str(), Dep.c_str(),
                 Fix.c_str(), ST.c_str(), SM.c_str(), Spd2.c_str(),
-                Mem2.c_str(), Dbm.c_str(), SpdOct.c_str(), DC, UC, PK);
+                Mem2.c_str(), DC, UC, PK);
     std::fflush(stdout);
   }
 
   std::printf("\nExpected shape (paper): the octagon analysis is an order "
               "of magnitude costlier than intervals; Vanilla drops out "
               "after the smallest programs, Base reaches mid-size ones, "
-              "Sparse finishes all nine (13-56x over Base).  Dbm/Spd.oct "
-              "contrast the sparse engine under the dense-DBM backend "
-              "against the default split backend (identical results; "
-              "split should be no slower overall).\n");
+              "Sparse finishes all nine (13-56x over Base).\n");
   return 0;
 }

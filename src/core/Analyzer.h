@@ -34,13 +34,6 @@ namespace spa {
 
 enum class EngineKind { Vanilla, Base, Sparse };
 
-/// Octagon value representation (spa-analyze --oct-backend).  Dbm is the
-/// dense difference-bound matrix with full strong closure; Split is the
-/// sparse split-normal-form graph with incremental closure
-/// (src/oct/SplitOct.h).  Both maintain the same tight-closed canonical
-/// form, so results are bit-identical; only the cost model differs.
-enum class OctBackendKind { Dbm, Split };
-
 struct AnalyzerOptions {
   EngineKind Engine = EngineKind::Sparse;
   SemanticsOptions Sem;

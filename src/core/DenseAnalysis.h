@@ -16,7 +16,9 @@
 ///    (Interval_base / Octagon_base).
 ///
 /// Both compute the fixpoint of F̂(X̂) = λc. f̂_c(⊔_{c'↪c} X̂(c')) with a
-/// priority worklist, widening at loop heads and recursive entries.
+/// priority worklist, widening at loop heads and recursive entries.  The
+/// loop itself is the domain-independent dense step of core/Fixpoint.h;
+/// runDenseAnalysis instantiates it with the interval domain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,12 +31,15 @@
 #include "ir/CallGraphInfo.h"
 #include "ir/Program.h"
 #include "obs/Ledger.h"
+#include "support/Budget.h"
 
 #include <cstdint>
 #include <vector>
 
 namespace spa {
 
+/// Options of the dense step.  Sem and DegradeTo configure the interval
+/// domain; the octagon domain ignores them.
 struct DenseOptions {
   SemanticsOptions Sem;
   /// Enable access-based localization (the Base analyzer).  Requires
@@ -43,7 +48,8 @@ struct DenseOptions {
   /// Wall-clock budget in seconds (0 = unlimited); exceeded runs report
   /// TimedOut (the paper's ∞ entries).
   double TimeLimitSec = 0;
-  /// Decreasing (narrowing) iterations after stabilization.
+  /// Decreasing (narrowing) iterations after stabilization (interval
+  /// domain only).
   unsigned NarrowingPasses = 0;
   /// Number of changing visits of a widening point before the widening
   /// operator kicks in (plain joins until then).  Delayed widening is the
@@ -64,25 +70,29 @@ struct DenseOptions {
   obs::Ledger *Led = nullptr;
 };
 
-struct DenseResult {
+/// What the dense step computes, for any domain's state type.
+template <typename StateT> struct DenseFixResult {
   /// Post-state per point: X̂(c) = f̂_c(join of predecessors).
-  std::vector<AbsState> Post;
+  std::vector<StateT> Post;
   bool TimedOut = false;
   /// The budget tripped; every point whose value might still have risen
-  /// (pending entries and everything reachable from them) was joined
-  /// with the degradation state, so Post stays an over-approximation.
+  /// (pending entries and everything reachable from them) was degraded
+  /// by the domain, so Post stays an over-approximation.
   bool Degraded = false;
   uint64_t Visits = 0;       ///< Worklist pops.
-  uint64_t StateEntries = 0; ///< Total bound locations over all points.
+  uint64_t StateEntries = 0; ///< Total bound entries over all points.
   double Seconds = 0;
+};
 
+struct DenseResult : DenseFixResult<AbsState> {
   /// Input state of \p P: the join of its supergraph predecessors'
   /// post-states (what f̂_P consumed at the fixpoint).
   AbsState inputOf(const Program &Prog, const CallGraphInfo &CG,
                    PointId P) const;
 };
 
-/// Runs a dense analysis.  \p DU may be null unless Opts.Localize is set.
+/// Runs a dense interval analysis.  \p DU may be null unless
+/// Opts.Localize is set.
 DenseResult runDenseAnalysis(const Program &Prog, const CallGraphInfo &CG,
                              const DefUseInfo *DU, const DenseOptions &Opts);
 

@@ -17,7 +17,9 @@
 /// definitions (D̂ − D) pass their input value through unchanged, which is
 /// exactly why Definition 5 requires D̂ − D ⊆ Û.  Widening applies where a
 /// dependency edge closes a cycle (loop-head phis and retreating edges),
-/// mirroring the dense engine's widening points.
+/// mirroring the dense engine's widening points.  The loop is the
+/// domain-independent sparse step of core/Fixpoint.h; runSparseAnalysis
+/// instantiates it with the interval domain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,8 @@
 
 namespace spa {
 
+/// Options of the sparse step.  Sem and DegradeTo configure the interval
+/// domain; the octagon domain ignores them.
 struct SparseOptions {
   SemanticsOptions Sem;
   double TimeLimitSec = 0;
@@ -67,21 +71,22 @@ struct SparseOptions {
   /// engine still delivers along every outgoing edge of a visited node.
   /// Within the restricted set the computed In/Out buffers are
   /// bit-identical to a full run (each component is a closed fixpoint
-  /// subsystem; see the component invariant in SparseAnalysis.cpp);
-  /// nodes outside the set keep bottom buffers.  The incremental server
+  /// subsystem; see the component invariant in core/Fixpoint.h); nodes
+  /// outside the set keep bottom buffers.  The incremental server
   /// (docs/SERVER.md) uses this to re-solve only invalidated partitions.
   /// Null = all nodes.
   const std::vector<uint32_t> *RestrictNodes = nullptr;
 };
 
-struct SparseResult {
+/// What the sparse step computes, for any domain's state type.
+template <typename StateT> struct SparseFixResult {
   /// Input buffer per graph node (partial state over Û).
-  std::vector<AbsState> In;
+  std::vector<StateT> In;
   /// Output partial state per graph node (over D̂).
-  std::vector<AbsState> Out;
+  std::vector<StateT> Out;
   bool TimedOut = false;
-  /// The budget tripped; the affected nodes were widened to the
-  /// degradation state, so In/Out remain over-approximations.
+  /// The budget tripped; the affected nodes were degraded by the domain
+  /// on their def/use sets, so In/Out remain over-approximations.
   bool Degraded = false;
   uint64_t Visits = 0;
   uint64_t StateEntries = 0; ///< Total entries across In and Out.
@@ -90,7 +95,9 @@ struct SparseResult {
   /// ascending; empty unless Degraded).  Alarm provenance flags slice
   /// nodes that appear here.
   std::vector<uint32_t> DegradedNodeIds;
+};
 
+struct SparseResult : SparseFixResult<AbsState> {
   /// Output value of location \p L at point \p P (bottom if P does not
   /// define L).  Lemma 2 equates this with the dense result on D̂(c).
   const Value &outValue(PointId P, LocId L) const {
@@ -98,7 +105,7 @@ struct SparseResult {
   }
 };
 
-/// Runs the sparse analysis over \p Graph.
+/// Runs the sparse interval analysis over \p Graph.
 SparseResult runSparseAnalysis(const Program &Prog, const CallGraphInfo &CG,
                                const SparseGraph &Graph,
                                const SparseOptions &Opts);

@@ -83,8 +83,7 @@ struct PointCost {
   /// Widenings weigh heaviest — each one is a lattice extrapolation that
   /// usually triggers a downstream re-propagation wave.  Closures are
   /// deliberately NOT part of the score: they measure domain-internal
-  /// cost, and folding them in would reshuffle hotspot rankings between
-  /// octagon backends whose fixpoints are otherwise identical.
+  /// cost, not fixpoint work.
   uint64_t score() const {
     return static_cast<uint64_t>(Visits) + Joins + NoChangeSkips + Deliveries +
            Narrowings + 4 * static_cast<uint64_t>(Widenings) + Growth;

@@ -88,19 +88,24 @@ void appendEscaped(std::string &Out, const std::string &S) {
   }
 }
 
+/// Appends \p N raw bytes.  Resize + memcpy rather than a range insert:
+/// GCC 12 at -O3 misreads the inlined insert as a stringop overflow.
+void putBytes(std::vector<uint8_t> &Out, const void *P, size_t N) {
+  size_t At = Out.size();
+  Out.resize(At + N);
+  std::memcpy(Out.data() + At, P, N);
+}
+
 void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  Out.insert(Out.end(), reinterpret_cast<const uint8_t *>(&V),
-             reinterpret_cast<const uint8_t *>(&V) + sizeof(V));
+  putBytes(Out, &V, sizeof(V));
 }
 
 void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  Out.insert(Out.end(), reinterpret_cast<const uint8_t *>(&V),
-             reinterpret_cast<const uint8_t *>(&V) + sizeof(V));
+  putBytes(Out, &V, sizeof(V));
 }
 
 void putF64(std::vector<uint8_t> &Out, double V) {
-  Out.insert(Out.end(), reinterpret_cast<const uint8_t *>(&V),
-             reinterpret_cast<const uint8_t *>(&V) + sizeof(V));
+  putBytes(Out, &V, sizeof(V));
 }
 
 /// Bounds-checked reader over a serialized span buffer.

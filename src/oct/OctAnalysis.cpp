@@ -6,12 +6,8 @@
 
 #include "oct/OctAnalysis.h"
 
-#include "obs/Journal.h"
-#include "obs/Metrics.h"
+#include "core/Fixpoint.h"
 #include "obs/Trace.h"
-#include "support/Fault.h"
-#include "support/Resource.h"
-#include "support/WorkList.h"
 
 #include <algorithm>
 #include <cassert>
@@ -21,7 +17,6 @@ using namespace spa;
 namespace {
 
 LocId packAsLoc(PackId P) { return LocId(P.value()); }
-PackId locAsPack(LocId L) { return PackId(L.value()); }
 
 //===----------------------------------------------------------------------===//
 // Pack-space def/use sets
@@ -448,544 +443,178 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// State plumbing shared by the engines
+// The octagon domain adapter
 //===----------------------------------------------------------------------===//
 
-/// Cache of ⊤ octagons per pack arity (arities are small), in the run's
-/// backend representation.
-class TopCache {
+/// After WideningDelay × this many changes an entry jumps straight to ⊤:
+/// octagon widening through closure needs a backstop.
+constexpr unsigned HardLimitFactor = 8;
+
+/// The octagon domain adapter (interface in core/Fixpoint.h): pack states,
+/// the transfer above, ⊤ fill on degradation, the hard ⊤ cut, and closure
+/// ticks charged to the ledger.
+class OctDomain {
 public:
-  explicit TopCache(OctBackendKind Backend) : Backend(Backend) {}
+  using State = OctState;
+  using Key = PackId;
+  using Val = OctVal;
+  static constexpr bool Narrows = false;
+  static constexpr uint64_t JournalBase = 2;
 
-  const OctVal &top(uint32_t Arity) {
-    if (Arity >= Tops.size())
-      Tops.resize(Arity + 1);
-    if (!Tops[Arity])
-      Tops[Arity] = std::make_unique<OctVal>(OctVal::top(Backend, Arity));
-    return *Tops[Arity];
-  }
-
-private:
-  OctBackendKind Backend;
-  std::vector<std::unique_ptr<OctVal>> Tops;
-};
-
-/// Dense view: reads fall back to ⊤ (non-strict transfers); writes go to
-/// the underlying state.
-class DenseOctView {
-public:
-  DenseOctView(OctState &S, const Packing &Packs, TopCache &Tops)
-      : S(S), Packs(Packs), Tops(Tops) {}
-
-  const OctVal &get(PackId P) const {
-    const OctVal *V = S.lookup(P);
-    if (V)
-      return *V;
-    return Tops.top(static_cast<uint32_t>(Packs.vars(P).size()));
-  }
-
-  void set(PackId P, OctVal V) { S.set(P, std::move(V)); }
-
-private:
-  OctState &S;
-  const Packing &Packs;
-  TopCache &Tops;
-};
-
-/// Sparse view: reads fall back to the node's input buffer, then ⊤;
-/// writes land in an overlay.
-class SparseOctView {
-public:
-  SparseOctView(const OctState &In, const Packing &Packs, TopCache &Tops)
-      : In(In), Packs(Packs), Tops(Tops) {}
-
-  const OctVal &get(PackId P) const {
-    if (const OctVal *V = Overlay.lookup(P))
-      return *V;
-    if (const OctVal *V = In.lookup(P))
-      return *V;
-    return Tops.top(static_cast<uint32_t>(Packs.vars(P).size()));
-  }
-
-  void set(PackId P, OctVal V) { Overlay.set(P, std::move(V)); }
-
-  /// Output over \p Defs: overlay where written, input passthrough
-  /// otherwise.
-  OctState extract(const std::vector<LocId> &Defs) const {
-    OctState Out;
-    for (LocId DL : Defs) {
-      PackId P = locAsPack(DL);
-      if (const OctVal *V = Overlay.lookup(P))
-        Out.set(P, *V);
-      else if (const OctVal *V = In.lookup(P))
-        Out.set(P, *V);
+  OctDomain(const Program &Prog, const PreAnalysisResult &Pre,
+            const Packing &Packs, unsigned WideningDelay)
+      : Prog(Prog), Pre(Pre), Packs(Packs),
+        HardLimit(WideningDelay * HardLimitFactor) {
+    // ⊤ per pack arity, built up front so concurrent shards only read it.
+    for (uint32_t P = 0; P < Packs.numPacks(); ++P) {
+      size_t Arity = Packs.vars(PackId(P)).size();
+      for (size_t A = Tops.size(); A <= Arity; ++A)
+        Tops.push_back(Oct::top(static_cast<uint32_t>(A)));
     }
-    return Out;
   }
 
-private:
-  const OctState &In;
-  const Packing &Packs;
-  TopCache &Tops;
-  OctState Overlay;
-};
+  const OctVal &top(PackId P) const {
+    return Tops[Packs.vars(P).size()];
+  }
 
-/// Pointwise join; returns true if \p A grew.
-bool octJoinInto(OctState &A, const OctState &B) {
-  return A.mergeWith(B, [](OctVal &X, const OctVal &Y) {
-    OctVal J = X.join(Y);
-    if (J == X)
+  static LocId locOf(PackId P) { return packAsLoc(P); }
+  static PackId keyOf(LocId L) { return PackId(L.value()); }
+
+  static const OctVal *find(const OctState &S, PackId P) {
+    return S.lookup(P);
+  }
+  static bool publish(OctState &Out, PackId P, const OctVal &V) {
+    OctVal *Slot = Out.lookup(P);
+    if (!Slot) {
+      Out.set(P, V);
+      return true;
+    }
+    if (V.leq(*Slot))
       return false;
-    X = std::move(J);
+    *Slot = Slot->join(V);
     return true;
-  });
-}
+  }
+  bool merge(OctState &Post, const OctState &Out, MergeOp Op) const {
+    if (Op == MergeOp::Cut)
+      SPA_OBS_COUNT("oct.hard_tops", 1);
+    return Post.mergeWith(Out, [&](OctVal &A, const OctVal &B) {
+      OctVal New = Op == MergeOp::Cut     ? Oct::top(A.numVars())
+                   : Op == MergeOp::Widen ? A.widen(A.join(B))
+                                          : A.join(B);
+      if (New == A)
+        return false;
+      A = std::move(New);
+      return true;
+    });
+  }
+  uint32_t cutAfter() const { return HardLimit; }
+  OctVal extrapolate(const OctVal &Old, const OctVal &V, MergeOp Op) const {
+    if (Op == MergeOp::Cut) {
+      SPA_OBS_COUNT("oct.hard_tops", 1);
+      return Oct::top(Old.numVars());
+    }
+    return Old.widen(Old.join(V));
+  }
+  /// Sparse growth unit: a pack entry materialized in an input buffer for
+  /// the first time.
+  static uint64_t growth(const OctVal *Old, const OctVal &) {
+    return Old ? 0 : 1;
+  }
+
+  void transfer(PointId P, OctState &S) const {
+    DenseView View{S, *this};
+    OctTransfer<DenseView>(Prog, Pre, Packs, View).apply(P);
+  }
+  OctState transfer(PointId P, const OctState &In,
+                    const std::vector<LocId> &Defs) const {
+    SparseView View{In, *this, {}};
+    OctTransfer<SparseView>(Prog, Pre, Packs, View).apply(P);
+    return View.extract(Defs);
+  }
+
+  /// Degradation binds packs to ⊤: all-⊤ over-approximates every concrete
+  /// memory, and downstream projections read missing packs as ⊥, so the
+  /// entries must be materialized.
+  void degrade(OctState &S) const {
+    for (uint32_t P = 0; P < Packs.numPacks(); ++P)
+      S.set(PackId(P), top(PackId(P)));
+  }
+  void degrade(OctState &S, LocId L) const { S.set(keyOf(L), top(keyOf(L))); }
+
+  /// Closure ticks run since construction, charged to one ledger row.
+  class ClosureCost {
+  public:
+    /// \p JournalBurst: a visit that crosses a 4096-closure boundary is a
+    /// closure burst (the relational analogue of WidenBurst).
+    void charge(obs::Ledger *Led, uint32_t Node, bool JournalBurst) const {
+      uint64_t After = oct_detail::closureTicks();
+      if (JournalBurst && (Before >> 12) != (After >> 12))
+        SPA_OBS_JOURNAL(OctCloseBurst, Node, After);
+      if (Led)
+        Led->row(Node).Closures += static_cast<uint32_t>(After - Before);
+    }
+
+  private:
+    uint64_t Before = oct_detail::closureTicks();
+  };
+  ClosureCost cost() const { return {}; }
+
+private:
+  /// Dense view: reads fall back to ⊤ (non-strict transfers); writes go
+  /// to the underlying state.
+  struct DenseView {
+    OctState &S;
+    const OctDomain &D;
+    const OctVal &get(PackId P) const {
+      const OctVal *V = S.lookup(P);
+      return V ? *V : D.top(P);
+    }
+    void set(PackId P, OctVal V) { S.set(P, std::move(V)); }
+  };
+
+  /// Sparse view: reads fall back to the node's input buffer, then ⊤;
+  /// writes land in an overlay.
+  struct SparseView {
+    const OctState &In;
+    const OctDomain &D;
+    OctState Overlay;
+    const OctVal &get(PackId P) const {
+      if (const OctVal *V = Overlay.lookup(P))
+        return *V;
+      if (const OctVal *V = In.lookup(P))
+        return *V;
+      return D.top(P);
+    }
+    void set(PackId P, OctVal V) { Overlay.set(P, std::move(V)); }
+    /// Output over \p Defs: overlay where written, input passthrough
+    /// otherwise.
+    OctState extract(const std::vector<LocId> &Defs) const {
+      OctState Out;
+      for (LocId DL : Defs) {
+        PackId P = keyOf(DL);
+        if (const OctVal *V = Overlay.lookup(P))
+          Out.set(P, *V);
+        else if (const OctVal *V = In.lookup(P))
+          Out.set(P, *V);
+      }
+      return Out;
+    }
+  };
+
+  const Program &Prog;
+  const PreAnalysisResult &Pre;
+  const Packing &Packs;
+  unsigned HardLimit;
+  std::vector<OctVal> Tops;
+};
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Pack-space def/use entry point
-//===----------------------------------------------------------------------===//
 
 DefUseInfo spa::computeOctDefUse(const Program &Prog,
                                  const PreAnalysisResult &Pre,
                                  const Packing &Packs) {
   return OctDefUseBuilder(Prog, Pre, Packs).run();
 }
-
-//===----------------------------------------------------------------------===//
-// Engines
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-OctDenseResult runOctDense(const Program &Prog, const PreAnalysisResult &Pre,
-                           const Packing &Packs, const DefUseInfo &DU,
-                           bool Localize, const OctOptions &Opts,
-                           Budget *Bud, obs::Ledger *Led) {
-  OctDenseResult R;
-  size_t N = Prog.numPoints();
-  R.Post.resize(N);
-  if (Led)
-    Led->resize(static_cast<uint32_t>(N));
-  TopCache Tops(Opts.Backend);
-
-  const CallGraphInfo &CG = Pre.CG;
-  std::vector<uint32_t> Rpo = computeSuperRpo(Prog, CG);
-  std::vector<bool> Widen =
-      computeWideningPoints(Prog, CG, /*IncludeCallToReturn=*/Localize);
-  std::vector<uint32_t> ChangeCount(N, 0);
-  WorkList WL(std::move(Rpo));
-  for (uint32_t P = 0; P < N; ++P)
-    WL.push(P);
-
-  // Access sets per function, in pack space.
-  std::vector<std::vector<LocId>> Access(Prog.numFuncs());
-  if (Localize) {
-    for (uint32_t F = 0; F < Prog.numFuncs(); ++F) {
-      Access[F] = DU.AccessDefs[F];
-      Access[F].insert(Access[F].end(), DU.AccessUses[F].begin(),
-                       DU.AccessUses[F].end());
-      std::sort(Access[F].begin(), Access[F].end());
-      Access[F].erase(std::unique(Access[F].begin(), Access[F].end()),
-                      Access[F].end());
-    }
-  }
-  auto InAccess = [&](FuncId F, PackId P) {
-    const auto &A = Access[F.value()];
-    return std::binary_search(A.begin(), A.end(), packAsLoc(P));
-  };
-
-  auto ComputeInput = [&](PointId C) {
-    const Command &Cmd = Prog.point(C).Cmd;
-    OctState In;
-    if (Localize && Cmd.Kind == CmdKind::Entry) {
-      FuncId F = Prog.point(C).Func;
-      for (PointId Site : CG.callSitesOf(F))
-        octJoinInto(In, R.Post[Site.value()].filtered([&](PackId P) {
-          return InAccess(F, P);
-        }));
-      return In;
-    }
-    if (Localize && Cmd.Kind == CmdKind::Return) {
-      const std::vector<FuncId> &Cs = CG.callees(Cmd.Pair);
-      if (!Cs.empty()) {
-        for (FuncId G : Cs)
-          octJoinInto(In,
-                      R.Post[Prog.function(G).Exit.value()].filtered(
-                          [&](PackId P) { return InAccess(G, P); }));
-        octJoinInto(In, R.Post[Cmd.Pair.value()].filtered([&](PackId P) {
-          for (FuncId G : Cs)
-            if (InAccess(G, P))
-              return false;
-          return true;
-        }));
-        return In;
-      }
-    }
-    CG.forEachSuperPred(Prog, C,
-                        [&](PointId P) { octJoinInto(In, R.Post[P.value()]); });
-    return In;
-  };
-
-  Timer Clock;
-  uint64_t LastSampleUs = 0;
-  uint64_t WidenCount = 0;
-  unsigned HardLimit = Opts.WideningDelay * Opts.HardLimitFactor;
-  SPA_OBS_FIX_SCOPE();
-  SPA_OBS_JOURNAL(PartitionBegin, 0, N);
-  while (!WL.empty()) {
-    SPA_OBS_HEARTBEAT();
-    if ((R.Visits & 255) == 0) {
-      obs::journalSetWorklistDepth(WL.size());
-      maybeInjectFault("fixloop");
-    }
-    if (Opts.TimeLimitSec > 0 && (R.Visits & 255) == 0 &&
-        Clock.seconds() > Opts.TimeLimitSec) {
-      R.TimedOut = true;
-      break;
-    }
-    // One budget step per visit, before the pop (mirrors the interval
-    // engines: an expired budget stops at zero visits).
-    if (Bud && !Bud->charge()) {
-      R.Degraded = true;
-      break;
-    }
-    PointId C(WL.pop());
-    ++R.Visits;
-    if (Led) {
-      ++Led->row(C.value()).Visits;
-      if ((R.Visits & 31) == 0) {
-        uint64_t NowUs = static_cast<uint64_t>(Clock.seconds() * 1e6);
-        Led->row(C.value()).TimeMicros += NowUs - LastSampleUs;
-        LastSampleUs = NowUs;
-      }
-    }
-
-    uint64_t TicksBefore = oct_detail::closureTicks();
-    OctState Out = ComputeInput(C);
-    DenseOctView View(Out, Packs, Tops);
-    OctTransfer<DenseOctView>(Prog, Pre, Packs, View).apply(C);
-
-    bool DoWiden =
-        Widen[C.value()] && ChangeCount[C.value()] >= Opts.WideningDelay;
-    bool Hard = ChangeCount[C.value()] >= HardLimit;
-    if (Hard)
-      SPA_OBS_COUNT("oct.hard_tops", 1);
-    else if (DoWiden)
-      SPA_OBS_COUNT("fixpoint.widenings", 1);
-    else
-      SPA_OBS_COUNT("fixpoint.joins", 1);
-    if ((Hard || DoWiden) && (((++WidenCount) & 63) == 0))
-      SPA_OBS_JOURNAL(WidenBurst, C.value(), WidenCount);
-    uint64_t EntriesBefore = Led ? R.Post[C.value()].size() : 0;
-    bool Changed = R.Post[C.value()].mergeWith(
-        Out, [&](OctVal &A, const OctVal &B) {
-          OctVal New = Hard ? OctVal::top(Opts.Backend, A.numVars())
-                            : (DoWiden ? A.widen(A.join(B)) : A.join(B));
-          if (New == A)
-            return false;
-          A = std::move(New);
-          return true;
-        });
-    uint64_t TicksAfter = oct_detail::closureTicks();
-    // A visit that crosses a 4096-closure boundary is a closure burst
-    // (the relational analogue of WidenBurst): heavy packs re-closing.
-    if ((TicksBefore >> 12) != (TicksAfter >> 12))
-      SPA_OBS_JOURNAL(OctCloseBurst, C.value(), TicksAfter);
-    if (Led) {
-      obs::PointCost &PC = Led->row(C.value());
-      PC.Closures += static_cast<uint32_t>(TicksAfter - TicksBefore);
-      // A hard ⊤ cut is the most aggressive widening; count it as one.
-      if (Hard || DoWiden)
-        ++PC.Widenings;
-      else
-        ++PC.Joins;
-      if (!Changed)
-        ++PC.NoChangeSkips;
-      else
-        // Dense growth unit: net new pack entries at the point (merges
-        // are monotone in the entry count).
-        PC.Growth += R.Post[C.value()].size() - EntriesBefore;
-    }
-    if (!Changed)
-      continue;
-    ++ChangeCount[C.value()];
-    CG.forEachSuperSucc(Prog, C, [&](PointId S) { WL.push(S.value()); });
-    if (Localize && Prog.point(C).Cmd.Kind == CmdKind::Call)
-      WL.push(Prog.point(C).Cmd.Pair.value());
-  }
-  SPA_OBS_JOURNAL(PartitionEnd, 0, R.Visits);
-
-  if (R.Degraded) {
-    // Sound degradation (docs/ROBUSTNESS.md): the affected set — pending
-    // entries plus forward reachability along the propagation edges — is
-    // where the fixpoint might still have risen.  Every pack of an
-    // affected point goes to ⊤; all-⊤ over-approximates every concrete
-    // memory, and downstream projections read missing packs as ⊥, so the
-    // entries must be materialized.
-    std::vector<bool> Affected(N, false);
-    std::vector<uint32_t> Stack;
-    WL.forEachPending([&](uint32_t P) {
-      Affected[P] = true;
-      Stack.push_back(P);
-    });
-    while (!Stack.empty()) {
-      PointId C(Stack.back());
-      Stack.pop_back();
-      auto Visit = [&](PointId S) {
-        if (!Affected[S.value()]) {
-          Affected[S.value()] = true;
-          Stack.push_back(S.value());
-        }
-      };
-      CG.forEachSuperSucc(Prog, C, Visit);
-      if (Localize && Prog.point(C).Cmd.Kind == CmdKind::Call)
-        Visit(Prog.point(C).Cmd.Pair);
-    }
-    uint64_t NumAffected = 0;
-    for (uint32_t P = 0; P < N; ++P) {
-      if (!Affected[P])
-        continue;
-      ++NumAffected;
-      for (uint32_t PK = 0; PK < Packs.numPacks(); ++PK) {
-        PackId Pack(PK);
-        R.Post[P].set(
-            Pack,
-            Tops.top(static_cast<uint32_t>(Packs.vars(Pack).size())));
-      }
-    }
-    SPA_OBS_GAUGE_SET("fixpoint.degraded_points", NumAffected);
-    SPA_OBS_JOURNAL(DegradeTier, /*Engine=*/3, NumAffected);
-  }
-
-  for (const OctState &S : R.Post)
-    R.StateEntries += S.size();
-  R.Seconds = Clock.seconds();
-  SPA_OBS_COUNT("fixpoint.visits", R.Visits);
-  SPA_OBS_GAUGE_SET("fixpoint.state_entries", R.StateEntries);
-  return R;
-}
-
-OctSparseResult runOctSparse(const Program &Prog,
-                             const PreAnalysisResult &Pre,
-                             const Packing &Packs, const SparseGraph &Graph,
-                             const OctOptions &Opts, Budget *Bud,
-                             obs::Ledger *Led) {
-  OctSparseResult R;
-  size_t N = Graph.numNodes();
-  R.In.resize(N);
-  R.Out.resize(N);
-  if (Led)
-    Led->resize(static_cast<uint32_t>(N));
-  TopCache Tops(Opts.Backend);
-  const CallGraphInfo &CG = Pre.CG;
-
-  std::vector<uint32_t> PointRpo = computeSuperRpo(Prog, CG);
-  std::vector<uint32_t> Prio(N);
-  for (uint32_t I = 0; I < N; ++I) {
-    uint32_t R2 = 2 * PointRpo[Graph.anchor(I).value()] + 1;
-    Prio[I] = Graph.isPhi(I) ? R2 - 1 : R2;
-  }
-  std::vector<bool> WidenPoint = computeWideningPoints(Prog, CG);
-  std::vector<bool> WidenNode(N);
-  for (uint32_t I = 0; I < N; ++I)
-    WidenNode[I] = WidenPoint[Graph.anchor(I).value()];
-
-  WorkList WL(Prio);
-  for (uint32_t I = 0; I < N; ++I)
-    WL.push(I);
-  std::vector<FlatMap<PackId, uint32_t>> ArrivalCount(N);
-
-  Timer Clock;
-  uint64_t LastSampleUs = 0;
-  uint64_t WidenCount = 0;
-  unsigned HardLimit = Opts.WideningDelay * Opts.HardLimitFactor;
-  SPA_OBS_FIX_SCOPE();
-  SPA_OBS_JOURNAL(PartitionBegin, 0, N);
-  while (!WL.empty()) {
-    SPA_OBS_HEARTBEAT();
-    if ((R.Visits & 255) == 0) {
-      obs::journalSetWorklistDepth(WL.size());
-      maybeInjectFault("fixloop");
-    }
-    if (Opts.TimeLimitSec > 0 && (R.Visits & 255) == 0 &&
-        Clock.seconds() > Opts.TimeLimitSec) {
-      R.TimedOut = true;
-      break;
-    }
-    if (Bud && !Bud->charge()) {
-      R.Degraded = true;
-      break;
-    }
-    uint32_t Node = WL.pop();
-    ++R.Visits;
-    if (Led) {
-      ++Led->row(Node).Visits;
-      if ((R.Visits & 31) == 0) {
-        uint64_t NowUs = static_cast<uint64_t>(Clock.seconds() * 1e6);
-        Led->row(Node).TimeMicros += NowUs - LastSampleUs;
-        LastSampleUs = NowUs;
-      }
-    }
-
-    uint64_t TicksBefore = oct_detail::closureTicks();
-    OctState NewOut;
-    if (Graph.isPhi(Node)) {
-      const PhiNode &Phi = Graph.phi(Node);
-      PackId P = locAsPack(Phi.L);
-      if (const OctVal *V = R.In[Node].lookup(P))
-        NewOut.set(P, *V);
-    } else {
-      SparseOctView View(R.In[Node], Packs, Tops);
-      OctTransfer<SparseOctView>(Prog, Pre, Packs, View)
-          .apply(PointId(Node));
-      NewOut = View.extract(Graph.NodeDefs[Node]);
-    }
-
-    OctState &Out = R.Out[Node];
-    std::vector<LocId> ChangedLocs;
-    for (const auto &[P, V] : NewOut) {
-      OctVal *Slot = Out.lookup(P);
-      if (!Slot) {
-        Out.set(P, V);
-        ChangedLocs.push_back(packAsLoc(P));
-        continue;
-      }
-      OctVal J = Slot->join(V);
-      if (J != *Slot) {
-        *Slot = std::move(J);
-        ChangedLocs.push_back(packAsLoc(P));
-      }
-    }
-    {
-      uint64_t TicksAfter = oct_detail::closureTicks();
-      if ((TicksBefore >> 12) != (TicksAfter >> 12))
-        SPA_OBS_JOURNAL(OctCloseBurst, Node, TicksAfter);
-      if (Led)
-        Led->row(Node).Closures +=
-            static_cast<uint32_t>(TicksAfter - TicksBefore);
-    }
-    if (ChangedLocs.empty())
-      continue;
-
-    Graph.Edges->forEachOut(Node, [&](LocId L, uint32_t Dst) {
-      if (!std::binary_search(ChangedLocs.begin(), ChangedLocs.end(), L))
-        return;
-      PackId P = locAsPack(L);
-      const OctVal &V = *R.Out[Node].lookup(P);
-      bool CutsCycle = WidenNode[Dst] || Prio[Node] >= Prio[Dst];
-      OctState &InDst = R.In[Dst];
-      OctVal *Old = InDst.lookup(P);
-      uint32_t Count = 0;
-      if (CutsCycle) {
-        uint32_t &Slot = ArrivalCount[Dst].getOrCreate(P);
-        Count = Slot;
-      }
-      uint64_t DeliverTicks = oct_detail::closureTicks();
-      OctVal New = Old ? Old->join(V) : V;
-      bool Widened = false;
-      if (CutsCycle && Old) {
-        if (Count >= HardLimit) {
-          SPA_OBS_COUNT("oct.hard_tops", 1);
-          New = OctVal::top(Opts.Backend, New.numVars());
-          Widened = true; // Hard ⊤ cut: the most aggressive widening.
-        } else if (Count >= Opts.WideningDelay) {
-          SPA_OBS_COUNT("fixpoint.widenings", 1);
-          New = Old->widen(New);
-          Widened = true;
-        } else {
-          SPA_OBS_COUNT("fixpoint.joins", 1);
-        }
-        if (Widened && (((++WidenCount) & 63) == 0))
-          SPA_OBS_JOURNAL(WidenBurst, Dst, WidenCount);
-      } else {
-        SPA_OBS_COUNT("fixpoint.joins", 1);
-      }
-      if (Led) {
-        obs::PointCost &PC = Led->row(Dst);
-        if (Widened)
-          ++PC.Widenings;
-        else
-          ++PC.Joins;
-        // Widening re-closures during delivery belong to the receiver.
-        PC.Closures += static_cast<uint32_t>(oct_detail::closureTicks() -
-                                             DeliverTicks);
-      }
-      if (Old && New == *Old) {
-        if (Led)
-          ++Led->row(Dst).NoChangeSkips;
-        return;
-      }
-      if (CutsCycle)
-        ++ArrivalCount[Dst].getOrCreate(P);
-      if (Led) {
-        obs::PointCost &PC = Led->row(Dst);
-        ++PC.Deliveries;
-        // Sparse growth unit: a pack entry materialized in the input
-        // buffer for the first time.
-        PC.Growth += Old ? 0 : 1;
-      }
-      InDst.set(P, std::move(New));
-      WL.push(Dst);
-    });
-  }
-  SPA_OBS_JOURNAL(PartitionEnd, 0, R.Visits);
-
-  if (R.Degraded) {
-    // Affected = pending nodes plus forward reachability along dependency
-    // edges; their def/use packs go to ⊤ in Out/In so both buffers stay
-    // over-approximations (a phi's single pack likewise).
-    std::vector<bool> Affected(N, false);
-    std::vector<uint32_t> Stack;
-    WL.forEachPending([&](uint32_t I) {
-      Affected[I] = true;
-      Stack.push_back(I);
-    });
-    while (!Stack.empty()) {
-      uint32_t Node = Stack.back();
-      Stack.pop_back();
-      Graph.Edges->forEachOut(Node, [&](LocId, uint32_t Dst) {
-        if (!Affected[Dst]) {
-          Affected[Dst] = true;
-          Stack.push_back(Dst);
-        }
-      });
-    }
-    auto TopFill = [&](OctState &S, PackId P) {
-      S.set(P, Tops.top(static_cast<uint32_t>(Packs.vars(P).size())));
-    };
-    uint64_t NumAffected = 0;
-    for (uint32_t I = 0; I < N; ++I) {
-      if (!Affected[I])
-        continue;
-      ++NumAffected;
-      if (Graph.isPhi(I)) {
-        PackId P = locAsPack(Graph.phi(I).L);
-        TopFill(R.In[I], P);
-        TopFill(R.Out[I], P);
-      } else {
-        for (LocId L : Graph.NodeUses[I])
-          TopFill(R.In[I], locAsPack(L));
-        for (LocId L : Graph.NodeDefs[I])
-          TopFill(R.Out[I], locAsPack(L));
-      }
-    }
-    SPA_OBS_GAUGE_SET("fixpoint.degraded_points", NumAffected);
-    SPA_OBS_JOURNAL(DegradeTier, /*Engine=*/4, NumAffected);
-  }
-
-  for (const OctState &S : R.In)
-    R.StateEntries += S.size();
-  for (const OctState &S : R.Out)
-    R.StateEntries += S.size();
-  R.Seconds = Clock.seconds();
-  SPA_OBS_COUNT("fixpoint.visits", R.Visits);
-  SPA_OBS_GAUGE_SET("fixpoint.state_entries", R.StateEntries);
-  return R;
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // OctRun
@@ -1063,27 +692,30 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
   Timer DuClock;
   {
     SPA_OBS_TRACE("packing+def-use");
-    Run.Packs = computePacking(Prog, Run.Pre, Opts.MaxPackSize);
+    Run.Packs = computePacking(Prog, Run.Pre);
     Run.DU = computeOctDefUse(Prog, Run.Pre, Run.Packs);
   }
   Run.DefUseSeconds = DuClock.seconds();
   SPA_OBS_GAUGE_SET("phase.defuse.seconds", Run.DefUseSeconds);
   SPA_OBS_GAUGE_SET("oct.packs", Run.Packs.numPacks());
-  SPA_OBS_GAUGE_SET("oct.backend.split",
-                    Opts.Backend == OctBackendKind::Split ? 1 : 0);
   SPA_OBS_GAUGE_SET("oct.groups", Run.Packs.numGroups());
   SPA_OBS_GAUGE_SET("oct.avg_group_size", Run.Packs.avgGroupSize());
   SPA_OBS_GAUGE_SET("defuse.avg_def_size", Run.DU.avgSemanticDefSize());
   SPA_OBS_GAUGE_SET("defuse.avg_use_size", Run.DU.avgSemanticUseSize());
 
+  OctDomain D(Prog, Run.Pre, Run.Packs, Opts.WideningDelay);
   switch (Opts.Engine) {
   case EngineKind::Vanilla:
   case EngineKind::Base: {
+    DenseOptions DOpts;
+    DOpts.Localize = Opts.Engine == EngineKind::Base;
+    DOpts.TimeLimitSec = Opts.TimeLimitSec;
+    DOpts.WideningDelay = Opts.WideningDelay;
+    DOpts.Bud = Bud;
+    DOpts.Led = Led.get();
     SPA_OBS_TRACE("fixpoint");
     maybeInjectFault("fix");
-    Run.Dense = runOctDense(Prog, Run.Pre, Run.Packs, Run.DU,
-                            Opts.Engine == EngineKind::Base, Opts, Bud,
-                            Led.get());
+    runDenseFixpoint(Prog, Run.Pre.CG, &Run.DU, D, DOpts, Run.Dense.emplace());
     break;
   }
   case EngineKind::Sparse: {
@@ -1095,10 +727,16 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
       maybeInjectFault("depbuild");
       Run.Graph = buildDepGraph(Prog, Run.Pre.CG, Run.DU, Dep);
     }
+    SparseOptions SOpts;
+    SOpts.TimeLimitSec = Opts.TimeLimitSec;
+    SOpts.WideningDelay = Opts.WideningDelay;
+    SOpts.Jobs = Opts.Dep.Jobs;
+    SOpts.Bud = Bud;
+    SOpts.Led = Led.get();
     SPA_OBS_TRACE("fixpoint");
     maybeInjectFault("fix");
-    Run.Sparse = runOctSparse(Prog, Run.Pre, Run.Packs, *Run.Graph, Opts,
-                              Bud, Led.get());
+    runSparseFixpoint(Prog, Run.Pre.CG, *Run.Graph, D, SOpts,
+                      Run.Sparse.emplace());
     break;
   }
   }
@@ -1109,7 +747,7 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
   // instantly-degrading fallback would add nothing); it degrades soundly
   // itself if the limits are genuinely too tight.  Run before the final
   // gauge writes so the octagon run's phase gauges win.
-  if (Opts.IntervalFallback && Run.degraded()) {
+  if (Run.degraded()) {
     SPA_OBS_COUNT("oct.interval_fallbacks", 1);
     AnalyzerOptions FOpts;
     FOpts.Engine = EngineKind::Sparse;

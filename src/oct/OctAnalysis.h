@@ -9,7 +9,8 @@
 /// (Table 3's Octagon_vanilla / Octagon_base / Octagon_sparse).  Abstract
 /// locations are variable packs (Ŝ = Packs → Oct); definition and use
 /// sets are pack sets; the sparse machinery (pre-analysis, SSA dependency
-/// construction, bypass, BDD storage) is reused verbatim over pack ids.
+/// construction, bypass, BDD storage) and the fixpoint engine
+/// (core/Fixpoint.h) are reused verbatim over pack ids.
 ///
 /// Pointer and function-pointer reasoning is delegated to the
 /// flow-insensitive pre-analysis (which Table 2's analyzers also use for
@@ -24,7 +25,7 @@
 #define SPA_OCT_OCTANALYSIS_H
 
 #include "core/Analyzer.h"
-#include "oct/OctBackend.h"
+#include "oct/Octagon.h"
 #include "oct/Packing.h"
 #include "support/FlatMap.h"
 
@@ -32,58 +33,35 @@
 
 namespace spa {
 
+using OctVal = Oct;
+
 /// Abstract state of the relational analysis: packs to octagons.
 /// Missing entries are bottom for joins; transfers treat them as ⊤ (the
 /// same non-strictness the interval engine has for constant effects).
-/// Values are OctVal — the representation (dense DBM or sparse split
-/// form) is uniform per run, chosen by OctOptions::Backend.
 using OctState = FlatMap<PackId, OctVal>;
 
+/// Packs hold at most computePacking's default of 10 variables, and an
+/// entry that changed 8 × WideningDelay times jumps to ⊤ (the hard cut).
 struct OctOptions {
   EngineKind Engine = EngineKind::Sparse;
-  /// Octagon value representation.  Split (the sparse split-normal-form
-  /// graph with incremental closure) is the default; Dbm is the dense
-  /// oracle the equivalence suite compares against.  Results are
-  /// bit-identical either way.
-  OctBackendKind Backend = OctBackendKind::Split;
+  /// Dependency construction; Dep.Jobs also sets the sparse fixpoint's
+  /// lanes (results are identical for every value).
   DepOptions Dep;
   double TimeLimitSec = 0;
   unsigned WideningDelay = 4;
-  /// Hard iteration cut: after this many changing arrivals an entry jumps
-  /// straight to ⊤ (octagon widening through closure needs a backstop).
-  unsigned HardLimitFactor = 8;
-  unsigned MaxPackSize = 10;
   /// Resource-governance limits; same cooperative semantics as
-  /// AnalyzerOptions::Budget (docs/ROBUSTNESS.md).
+  /// AnalyzerOptions::Budget (docs/ROBUSTNESS.md).  When the octagon
+  /// fixpoint degrades, the run also runs the (cheaper) interval analyzer
+  /// with a fresh budget of the same limits, so consumers keep a
+  /// flow-sensitive non-relational result (OctRun::Fallback).
   BudgetLimits Budget;
-  /// Degradation ladder tier 2: when the octagon fixpoint degrades, also
-  /// run the (cheaper) interval analyzer with a fresh budget of the same
-  /// limits, so consumers keep a flow-sensitive non-relational result
-  /// (OctRun::Fallback).  Meeting two over-approximations is sound.
-  bool IntervalFallback = true;
 };
 
-struct OctDenseResult {
-  std::vector<OctState> Post;
-  bool TimedOut = false;
-  /// The budget tripped; affected points had every pack bound to ⊤
-  /// (missing entries read as ⊥ downstream, so they must be filled).
-  bool Degraded = false;
-  uint64_t Visits = 0;
-  uint64_t StateEntries = 0;
-  double Seconds = 0;
-};
-
-struct OctSparseResult {
-  std::vector<OctState> In, Out;
-  bool TimedOut = false;
-  /// The budget tripped; affected nodes had their def/use packs bound to
-  /// ⊤ in Out/In, keeping both buffers over-approximate.
-  bool Degraded = false;
-  uint64_t Visits = 0;
-  uint64_t StateEntries = 0;
-  double Seconds = 0;
-};
+/// Octagon results: affected points/nodes of a degraded run had their
+/// packs bound to ⊤ (missing entries read as ⊥ downstream, so they must
+/// be filled).
+using OctDenseResult = DenseFixResult<OctState>;
+using OctSparseResult = SparseFixResult<OctState>;
 
 /// Everything one octagon-analyzer run produces.
 struct OctRun {
@@ -94,7 +72,7 @@ struct OctRun {
   std::optional<SparseGraph> Graph;
   std::optional<OctSparseResult> Sparse;
   /// Interval-analyzer fallback run, present when the octagon run
-  /// degraded and OctOptions::IntervalFallback was set.
+  /// degraded.
   std::optional<AnalysisRun> Fallback;
 
   double PreSeconds = 0;

@@ -30,7 +30,6 @@ thread_local uint64_t ClosureTicks = 0;
 } // namespace
 
 uint64_t spa::oct_detail::closureTicks() { return ClosureTicks; }
-void spa::oct_detail::bumpClosureTick() { ++ClosureTicks; }
 
 Oct::Oct(uint32_t NumVars) : N(NumVars) {
   M.assign(4ull * N * N, bound::PosInf);
@@ -39,9 +38,8 @@ Oct::Oct(uint32_t NumVars) : N(NumVars) {
 }
 
 Oct Oct::bottom(uint32_t NumVars) {
-  // Bottom carries no constraints; skip the 4N² allocation so Empty
-  // octagons account the same near-constant footprint as the split
-  // backend's (every operation guards on Empty before touching M).
+  // Bottom carries no constraints; skip the 4N² allocation (every
+  // operation guards on Empty before touching M).
   Oct O(0);
   O.N = NumVars;
   O.Empty = true;
@@ -60,7 +58,7 @@ void Oct::close() {
   if (D == 0)
     return;
   SPA_OBS_COUNT("oct.closures", 1);
-  oct_detail::bumpClosureTick();
+  ++ClosureTicks;
 
   // Iterate (shortest paths; strengthening; integer tightening) to a
   // fixpoint.  Matrices are at most 20x20 (pack size cap), so the extra

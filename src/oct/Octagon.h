@@ -29,12 +29,10 @@
 namespace spa {
 
 namespace oct_detail {
-/// Thread-local count of closure executions across both octagon
-/// backends (dense sweeps, sparse full and incremental drains).  The
-/// analysis engines snapshot deltas around each visit to attribute
-/// closure cost per control point in the ledger (PointCost::Closures).
+/// Thread-local count of closure executions.  The octagon domain adapter
+/// snapshots deltas around each visit to attribute closure cost per
+/// control point in the ledger (PointCost::Closures).
 uint64_t closureTicks();
-void bumpClosureTick();
 } // namespace oct_detail
 
 /// An octagon over a fixed number of variables (the pack's size).
@@ -92,15 +90,6 @@ public:
 
   std::string str() const;
 
-  /// Total bytes for memory accounting: object header plus matrix heap.
-  /// Empty (bottom) octagons carry no matrix — bottom() never allocates
-  /// one and close() releases it on infeasibility — so both backends
-  /// charge infeasible states the same near-constant footprint and
-  /// --mem-limit budgets compare them fairly.
-  uint64_t memoryBytes() const {
-    return M.capacity() * sizeof(int64_t) + sizeof(*this);
-  }
-
 private:
   int64_t &at(uint32_t I, uint32_t J) { return M[I * 2 * N + J]; }
   int64_t at(uint32_t I, uint32_t J) const { return M[I * 2 * N + J]; }
@@ -109,8 +98,8 @@ private:
   /// Strong closure with integer tightening; sets Empty on infeasibility.
   void close();
 
-  /// Marks the octagon infeasible and releases the matrix (see
-  /// memoryBytes: Empty states account no dead storage).
+  /// Marks the octagon infeasible and releases the matrix (Empty states
+  /// hold no dead storage).
   void dropMatrix();
 
   uint32_t N = 0;   ///< Variables (matrix is 2N x 2N).

@@ -170,9 +170,9 @@ Packing spa::computePacking(const Program &Prog,
     Result.Singleton[L] = Id;
     Result.Of[L].push_back(Id);
   }
-  // Pack-size distribution (docs/OBSERVABILITY.md): the split backend's
-  // payoff scales with pack arity, so the histogram is the first thing
-  // to read when oct.split.* counters look off.
+  // Pack-size distribution (docs/OBSERVABILITY.md): closure cost is cubic
+  // in pack arity, so the histogram is the first thing to read when
+  // oct.closures looks off.
   for (const auto &Members : Result.Packs)
     SPA_OBS_HIST("oct.pack.size", static_cast<double>(Members.size()));
   return Result;

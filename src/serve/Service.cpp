@@ -168,7 +168,7 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
   for (uint32_t Node = 0; Node < N; ++Node)
     P.Members[DC.CompOfNode[Node]].push_back(Node); // Ascending by loop.
 
-  // Scheduling inputs the engine derives identically (SparseAnalysis.cpp).
+  // Scheduling inputs the engine derives identically (core/Fixpoint.h).
   std::vector<uint32_t> PointRpo = computeSuperRpo(Prog, CG);
   std::vector<bool> WidenPoint = computeWideningPoints(Prog, CG);
   std::vector<uint32_t> Prio(N);

@@ -14,7 +14,7 @@
 /// component), and re-runs the sparse fixpoint only for partitions whose
 /// signature matches no cached partition — untouched partitions' In/Out
 /// buffers are copied from cache.  Components are closed fixpoint
-/// subsystems (SparseAnalysis.cpp), so the combined result is
+/// subsystems (core/Fixpoint.h), so the combined result is
 /// bit-identical to a cold run; tests/server_test.cpp enforces this
 /// across an edit-storm at several --jobs values.
 ///

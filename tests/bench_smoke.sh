@@ -49,29 +49,14 @@ for ex in loop pointers; do
     "$EXAMPLES/$ex.spa" > /dev/null || exit 1
   require_keys "$WORK/$ex-o.json" \
     phase.total.seconds oct.closures oct.packs fixpoint.worklist.pops \
-    mem.peak_rss_kib oct.backend.split
+    mem.peak_rss_kib
 done
 
-# The default octagon backend is the split form: the run above must have
-# actually exercised it (closure counters nonzero), and --oct-backend=dbm
-# must switch the gauge off and drop the split counters.
+# The octagon run must actually have closed DBMs.
 python3 - "$WORK/loop-o.json" <<'EOF' || exit 1
 import json, sys
 m = json.load(open(sys.argv[1]))
-assert m["oct.backend.split"] == 1, "split backend should be the default"
-closures = m.get("oct.split.close.full", 0) + m.get("oct.split.close.inc", 0)
-assert closures > 0, "split backend ran but recorded no closures"
-EOF
-"$ANALYZE" --domain=octagon --oct-backend=dbm \
-  --metrics-out="$WORK/loop-dbm.json" "$EXAMPLES/loop.spa" > /dev/null \
-  || exit 1
-python3 - "$WORK/loop-dbm.json" <<'EOF' || exit 1
-import json, sys
-m = json.load(open(sys.argv[1]))
-assert m["oct.backend.split"] == 0, "--oct-backend=dbm left the gauge on"
-assert m.get("oct.split.close.full", 0) + m.get("oct.split.close.inc", 0) \
-    == 0, "dbm backend bumped split counters"
-assert m["oct.closures"] > 0, "dbm backend recorded no closures"
+assert m["oct.closures"] > 0, "octagon run recorded no closures"
 EOF
 
 # Budget smoke: an expired deadline must degrade (exit 3, sound-but-

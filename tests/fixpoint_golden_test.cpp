@@ -98,8 +98,13 @@ std::string hex(uint64_t V) {
 
 std::string octStr(const OctState &S) {
   std::string R;
-  for (const auto &[Pack, V] : S)
-    R += "p" + std::to_string(Pack.value()) + "=" + V.str() + ";";
+  for (const auto &[Pack, V] : S) {
+    R += 'p';
+    R += std::to_string(Pack.value());
+    R += '=';
+    R += V.str();
+    R += ';';
+  }
   return R;
 }
 

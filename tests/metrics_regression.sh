@@ -81,33 +81,30 @@ grep -q "2 regressions" "$WORK/bad.txt" || {
   exit 1
 }
 
-# The octagon split-backend counters ride the same contract: a
-# self-diff over the oct.split.* keys passes, and a perturbed copy
-# (simulating a closure-cost regression) fails with exit code 2.
+# The octagon closure counter rides the same contract: a self-diff over
+# oct.closures passes, and a perturbed copy (simulating a closure-cost
+# regression) fails with exit code 2.
 "$ANALYZE" --domain=octagon --metrics-out="$WORK/oct.json" \
   "$EXAMPLES/pointers.spa" > /dev/null || exit 1
-for key in oct.backend.split oct.split.close.full oct.split.close.inc; do
-  grep -q "\"$key\"" "$WORK/oct.json" || {
-    echo "FAIL: octagon metrics lack $key"
-    exit 1
-  }
-done
-"$DIFF" --key=oct.split.close.full --key=oct.split.close.inc \
-  --key=oct.split.edges.tightened --allow-missing \
-  "$WORK/oct.json" "$WORK/oct.json" || {
-  echo "FAIL: oct.split self-diff reported a regression"
+python3 - "$WORK/oct.json" <<'EOF' || exit 1
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc.get("oct.closures", 0) > 0, "octagon metrics lack oct.closures"
+EOF
+"$DIFF" --key=oct.closures "$WORK/oct.json" "$WORK/oct.json" || {
+  echo "FAIL: oct.closures self-diff reported a regression"
   exit 1
 }
 python3 - "$WORK/oct.json" "$WORK/oct-bad.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-doc["oct.split.close.full"] = doc.get("oct.split.close.full", 0) * 3 + 10
+doc["oct.closures"] = doc["oct.closures"] * 3 + 10
 json.dump(doc, open(sys.argv[2], "w"))
 EOF
-"$DIFF" --key=oct.split.close.full "$WORK/oct.json" "$WORK/oct-bad.json" \
+"$DIFF" --key=oct.closures "$WORK/oct.json" "$WORK/oct-bad.json" \
   > /dev/null 2>&1
 if [ $? -ne 2 ]; then
-  echo "FAIL: perturbed oct.split.close.full should exit 2"
+  echo "FAIL: perturbed oct.closures should exit 2"
   exit 1
 fi
 

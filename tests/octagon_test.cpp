@@ -9,9 +9,13 @@
 #include "interp/Interp.h"
 #include "oct/OctAnalysis.h"
 #include "oct/Octagon.h"
+#include "support/Rng.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
 
 using namespace spa;
 using namespace spa::test;
@@ -371,3 +375,288 @@ TEST_P(OctSoundness, ProjectionsCoverConcreteExecutions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OctSoundness,
                          ::testing::Range<uint64_t>(1, 13));
+
+class OctSparseSoundness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OctSparseSoundness, ProjectionsCoverConcreteExecutions) {
+  // OctSoundness's programs, through the sparse engine: every defined
+  // pack's output must cover the values the interpreter observes.
+  GenConfig Config;
+  Config.Seed = GetParam() * 13 + 5;
+  Config.NumFunctions = 4;
+  Config.StmtsPerFunction = 10;
+  Config.AllowLoops = true;
+  Config.AllowRecursion = (GetParam() % 2) == 0;
+  BuildResult B = buildProgramFromSource(generateSource(Config));
+  ASSERT_TRUE(B.ok()) << B.Error;
+  const Program &Prog = *B.Prog;
+
+  OctRun Run = runOctAnalysis(Prog, OctOptions());
+  ASSERT_FALSE(Run.timedOut());
+
+  InterpOptions IOpts;
+  IOpts.MaxSteps = 15000;
+  Interp I(Prog, Run.Pre.CG, IOpts);
+  I.run([&](PointId P, const Interp &It) {
+    for (LocId PL : Run.DU.Defs[P.value()]) {
+      PackId Pack(PL.value());
+      const OctVal *O = Run.Sparse->Out[P.value()].lookup(Pack);
+      for (LocId Member : Run.Packs.vars(Pack)) {
+        const CValue &CV = It.varValue(Member);
+        if (Prog.loc(Member).isSummary() || CV.K != CValue::Kind::Int)
+          continue;
+        Interval Itv =
+            O ? O->project(
+                    static_cast<uint32_t>(Run.Packs.indexIn(Pack, Member)))
+              : Interval::bot();
+        EXPECT_TRUE(Itv.contains(CV.I))
+            << "sparse octagon misses " << Prog.loc(Member).Name << " = "
+            << CV.I << " at " << Prog.pointToString(P) << " (got "
+            << Itv.str() << ")";
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OctSparseSoundness,
+                         ::testing::Range<uint64_t>(1, 9));
+
+namespace {
+
+/// Data-independent counting loops called from main: no globals, no
+/// arguments, no return traffic, so under bypass each worker is its own
+/// dependency component (the shape docs/SERVER.md partitions).
+std::string independentWorkers(uint64_t Seed) {
+  Rng R(Seed);
+  unsigned N = 3 + static_cast<unsigned>(R.below(3));
+  std::ostringstream Workers, Main;
+  Main << "fun main() {\n";
+  for (unsigned I = 0; I < N; ++I) {
+    Workers << "fun w" << I << "() {\n  i = 0;\n  s = " << R.range(-5, 5)
+            << ";\n  while (i < " << R.range(3, 40)
+            << ") {\n    s = s + i;\n    i = i + " << R.range(1, 3)
+            << ";\n  }\n  return 0;\n}\n";
+    Main << "  w" << I << "();\n";
+  }
+  Main << "  return 0;\n}\n";
+  return Workers.str() + Main.str();
+}
+
+/// Sparse octagon results and ledger counts at 1 and 4 fixpoint lanes;
+/// returns the number of dependency components.
+uint32_t expectSameAcrossJobs(const Program &Prog) {
+  OctOptions Opts;
+  OctRun One = runOctAnalysis(Prog, Opts);
+  Opts.Dep.Jobs = 4;
+  OctRun Four = runOctAnalysis(Prog, Opts);
+  EXPECT_TRUE(One.Sparse && Four.Sparse);
+  if (!One.Sparse || !Four.Sparse)
+    return 0;
+  EXPECT_EQ(One.Sparse->Visits, Four.Sparse->Visits);
+  EXPECT_EQ(One.Sparse->StateEntries, Four.Sparse->StateEntries);
+  EXPECT_EQ(One.Sparse->In, Four.Sparse->In);
+  EXPECT_EQ(One.Sparse->Out, Four.Sparse->Out);
+  if (One.Ledger && Four.Ledger) {
+    EXPECT_EQ(One.Ledger->numRows(), Four.Ledger->numRows());
+    for (uint32_t N = 0; N < One.Ledger->numRows(); ++N) {
+      const obs::PointCost &A = One.Ledger->row(N), &C = Four.Ledger->row(N);
+      EXPECT_EQ(A.Visits, C.Visits) << N;
+      EXPECT_EQ(A.Widenings, C.Widenings) << N;
+      EXPECT_EQ(A.Joins, C.Joins) << N;
+      EXPECT_EQ(A.NoChangeSkips, C.NoChangeSkips) << N;
+      EXPECT_EQ(A.Deliveries, C.Deliveries) << N;
+      EXPECT_EQ(A.Closures, C.Closures) << N;
+      EXPECT_EQ(A.Growth, C.Growth) << N;
+    }
+  }
+  return computeDepComponents(Prog, *One.Graph).NumComps;
+}
+
+} // namespace
+
+class OctShardEquality : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OctShardEquality, RandomProgramsMatchAcrossJobs) {
+  // The sparse step shards independent dependency components across
+  // lanes; the octagon result must not depend on how many.  Generator
+  // programs are one component (main calls everything), so a seeded
+  // program of independent workers exercises the sharded schedule.
+  GenConfig Config;
+  Config.Seed = GetParam() * 31 + 3;
+  Config.NumFunctions = 4;
+  Config.StmtsPerFunction = 10;
+  Config.AllowLoops = true;
+  Config.AllowRecursion = (GetParam() % 3) == 0;
+  BuildResult B = buildProgramFromSource(generateSource(Config));
+  ASSERT_TRUE(B.ok()) << B.Error;
+  expectSameAcrossJobs(*B.Prog);
+
+  BuildResult W = buildProgramFromSource(independentWorkers(GetParam()));
+  ASSERT_TRUE(W.ok()) << W.Error;
+  EXPECT_GT(expectSameAcrossJobs(*W.Prog), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OctShardEquality,
+                         ::testing::Range<uint64_t>(1, 13));
+
+namespace {
+
+/// Does \p Pt satisfy every projection of \p O?  Exact on closed
+/// octagons, and true for every point of γ(O) in any case.
+bool covers(const Oct &O, const std::vector<int64_t> &Pt) {
+  for (uint32_t V = 0; V < O.numVars(); ++V) {
+    if (!O.project(V).contains(Pt[V]))
+      return false;
+    for (uint32_t W = 0; W < O.numVars(); ++W)
+      if (V != W && (!O.projectDiff(V, W).contains(Pt[V] - Pt[W]) ||
+                     !O.projectSum(V, W).contains(Pt[V] + Pt[W])))
+        return false;
+  }
+  return true;
+}
+
+/// An octagon plus concrete points it must keep covering.
+struct Tracked {
+  Oct O;
+  std::vector<std::vector<int64_t>> Pts;
+};
+
+} // namespace
+
+class OctOpFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OctOpFuzz, RandomOpSequencesStaySound) {
+  // Random sequences of the engine's operations — constraints,
+  // assignments, forget, and join/meet/widen/narrow against earlier
+  // states — each checked against the concrete points it must cover.
+  Rng R(GetParam() * 1000003 + 17);
+  uint32_t N = 1 + static_cast<uint32_t>(R.below(6));
+  auto Var = [&] { return static_cast<uint32_t>(R.below(N)); };
+  auto C = [&] { return R.range(-8, 8); };
+  auto Fresh = [&] {
+    Tracked T{Oct::top(N), {}};
+    for (int I = 0; I < 6; ++I) {
+      std::vector<int64_t> Pt(N);
+      for (int64_t &X : Pt)
+        X = C();
+      T.Pts.push_back(Pt);
+    }
+    return T;
+  };
+  Tracked Cur = Fresh();
+  std::vector<Tracked> History{Cur};
+  auto Keep = [&](auto Pred) {
+    std::erase_if(Cur.Pts, [&](const auto &Pt) { return !Pred(Pt); });
+  };
+  auto Union = [&](const Tracked &O) {
+    Cur.Pts.insert(Cur.Pts.end(), O.Pts.begin(), O.Pts.end());
+  };
+
+  for (int Step = 0; Step < 80; ++Step) {
+    uint32_t V = Var(), W = Var();
+    int64_t K = C();
+    const Tracked &H = History[R.below(History.size())];
+    switch (R.below(10)) {
+    case 0:
+      if (V != W) {
+        Cur.O = Cur.O.addDiffConstraint(V, W, K);
+        Keep([&](const auto &P) { return P[V] - P[W] <= K; });
+      }
+      break;
+    case 1: {
+      bool PV = R.chance(50), PW = R.chance(50);
+      if (V != W) {
+        Cur.O = Cur.O.addSumConstraint(V, PV, W, PW, K);
+        Keep([&](const auto &P) {
+          return (PV ? P[V] : -P[V]) + (PW ? P[W] : -P[W]) <= K;
+        });
+      }
+      break;
+    }
+    case 2:
+      Cur.O = Cur.O.addUpperBound(V, K);
+      Keep([&](const auto &P) { return P[V] <= K; });
+      break;
+    case 3:
+      Cur.O = Cur.O.addLowerBound(V, K);
+      Keep([&](const auto &P) { return P[V] >= K; });
+      break;
+    case 4: {
+      int64_t Hi = K + R.range(0, 6);
+      Cur.O = Cur.O.assignInterval(V, Interval(K, Hi));
+      for (auto &P : Cur.Pts)
+        P[V] = R.range(K, Hi);
+      break;
+    }
+    case 5:
+      Cur.O = Cur.O.assignVarPlusConst(V, W, K);
+      for (auto &P : Cur.Pts)
+        P[V] = P[W] + K;
+      break;
+    case 6:
+      Cur.O = Cur.O.forget(V);
+      for (auto &P : Cur.Pts)
+        P[V] = C();
+      break;
+    case 7:
+      Cur.O = Cur.O.join(H.O);
+      Union(H);
+      break;
+    case 8:
+      Cur.O = Cur.O.meet(H.O);
+      Keep([&](const auto &P) { return covers(H.O, P); });
+      break;
+    case 9:
+      // Engine shape: widen against the join (growing operand), or
+      // narrow back against the meet (shrinking operand).
+      if (R.chance(60)) {
+        Cur.O = Cur.O.widen(Cur.O.join(H.O));
+        Union(H);
+      } else {
+        Cur.O = Cur.O.narrow(Cur.O.meet(H.O));
+        Keep([&](const auto &P) { return covers(H.O, P); });
+      }
+      break;
+    }
+    for (const auto &P : Cur.Pts)
+      ASSERT_TRUE(covers(Cur.O, P))
+          << "seed " << GetParam() << " step " << Step << ": "
+          << Cur.O.str();
+    if (History.size() < 8 && R.chance(30))
+      History.push_back(Cur);
+    if ((Cur.O.isBottom() || Cur.Pts.empty()) && R.chance(80))
+      Cur = Fresh(); // Nothing left to check; restart the walk.
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OctOpFuzz, ::testing::Range<uint64_t>(1, 25));
+
+TEST(OctPacking, RepeatedPackingIsIdenticalInContentAndOrder) {
+  // The pack table is keyed by index everywhere (OctState, def/use in
+  // pack space, the DBM's variable indices), so packing must be a pure
+  // deterministic function of the program: same packs, same member
+  // order, same pack numbering on every run.
+  for (unsigned Round = 0; Round < 4; ++Round) {
+    GenConfig Config;
+    Config.Seed = 0xaced + Round * 97;
+    Config.NumFunctions = 5;
+    Config.StmtsPerFunction = 12;
+    Config.AllowLoops = true;
+    BuildResult B = buildProgramFromSource(generateSource(Config));
+    ASSERT_TRUE(B.ok()) << B.Error;
+
+    OctRun Run = runOctAnalysis(*B.Prog, OctOptions());
+    Packing Again = computePacking(*B.Prog, Run.Pre);
+    ASSERT_EQ(Run.Packs.Packs, Again.Packs) << "round " << Round;
+    ASSERT_EQ(Run.Packs.Singleton, Again.Singleton) << "round " << Round;
+    ASSERT_EQ(Run.Packs.Of, Again.Of) << "round " << Round;
+    ASSERT_EQ(Run.Packs.NumGroups, Again.NumGroups) << "round " << Round;
+    // Member lists are sorted — the order the DBM's variable indices
+    // (2i/2i+1) inherit.
+    for (const auto &Members : Again.Packs)
+      ASSERT_TRUE(std::is_sorted(Members.begin(), Members.end(),
+                                 [](LocId A, LocId B) {
+                                   return A.value() < B.value();
+                                 }));
+  }
+}

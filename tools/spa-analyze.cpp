@@ -11,7 +11,6 @@
 ///
 ///   --engine=vanilla|base|sparse   analyzer generation (default sparse)
 ///   --domain=interval|octagon      abstract domain (default interval)
-///   --oct-backend=dbm|split        octagon representation (default split)
 ///   --pre=precise|semisparse|staged  pre-analysis instance
 ///   --dep=ssa|rd|chains|whole      dependency builder (sparse engine)
 ///   --no-bypass                    disable the bypass contraction
@@ -102,6 +101,7 @@
 #include "obs/Postmortem.h"
 #include "obs/Trace.h"
 #include "oct/OctAnalysis.h"
+#include "support/ThreadPool.h"
 #include "ir/Snapshot.h"
 #include "workload/Batch.h"
 #include "workload/ShardCoordinator.h"
@@ -122,7 +122,6 @@ struct CliOptions {
   std::string Path;
   EngineKind Engine = EngineKind::Sparse;
   bool Octagon = false;
-  OctBackendKind OctBackend = OctBackendKind::Split;
   PreAnalysisKind Pre = PreAnalysisKind::Precise;
   DepOptions Dep;
   bool Check = false;
@@ -164,8 +163,6 @@ void usage() {
   std::fprintf(stderr,
                "usage: spa-analyze [options] <file | ->\n"
                "  --engine=vanilla|base|sparse --domain=interval|octagon\n"
-               "  --oct-backend=dbm|split   (octagon representation; "
-               "default split)\n"
                "  --pre=precise|semisparse|staged "
                "--dep=ssa|rd|chains|whole\n"
                "  --no-bypass --bdd --check --list --dump-cfg "
@@ -213,9 +210,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       else if (!std::strcmp(V, "octagon"))
         Opts.Octagon = true;
       else
-        return false;
-    } else if (const char *V = Value("--oct-backend=")) {
-      if (!parseOctBackend(V, Opts.OctBackend))
         return false;
     } else if (const char *V = Value("--pre=")) {
       if (!std::strcmp(V, "precise"))
@@ -553,11 +547,12 @@ struct WalkBudget {
 int runOctagonMode(const Program &Prog, const CliOptions &Cli) {
   OctOptions Opts;
   Opts.Engine = Cli.Engine;
-  Opts.Backend = Cli.OctBackend;
   Opts.Dep = Cli.Dep;
   // Exit invariants are printed from the exit input buffers, which the
   // bypass contraction would (correctly) thin out.
   Opts.Dep.Bypass = false;
+  // Lanes for the dependency build and the fixpoint's component shards.
+  Opts.Dep.Jobs = Cli.Jobs ? Cli.Jobs : ThreadPool::defaultJobs();
   Opts.TimeLimitSec = Cli.TimeLimitSec;
   Opts.Budget = Cli.Budget;
   OctRun Run = runOctAnalysis(Prog, Opts);
