@@ -110,25 +110,6 @@ if "off" in guard and "on" in guard:
         "degraded": sum(m.get("batch.degraded", 0) for m in guard["on"]),
     }
 
-# Snapshot-shipping ablation: isolated children loading the parent's
-# spa-ir-v1 snapshot vs rebuilding from source inside the fork.  The
-# ratio is the headline snapshot_speedup (rebuild / snapshot).
-snap = {}
-for r in records:
-    if r["bench"].startswith("snapshot:"):
-        snap.setdefault(r["bench"][len("snapshot:"):], []).append(r["metrics"])
-if "off" in snap and "on" in snap:
-    off = min(m.get("batch.seconds", 0) for m in snap["off"])
-    on = min(m.get("batch.seconds", 0) for m in snap["on"])
-    best_on = min(snap["on"], key=lambda m: m.get("batch.seconds", 0))
-    out["snapshot"] = {
-        "seconds_rebuild": round(off, 4),
-        "seconds_snapshot": round(on, 4),
-        "items": int(best_on.get("batch.snapshot.items", 0)),
-        "bytes": int(best_on.get("batch.snapshot.bytes", 0)),
-    }
-    out["snapshot_speedup"] = round(off / on, 3) if on > 0 else None
-
 # Resident-daemon warm-vs-cold ablation: repeat requests answered from
 # the serve cache (byte-identity fast path) vs full re-analysis per
 # request (the --no-incremental ablation).  The ratio is the headline

@@ -172,44 +172,6 @@ int main() {
     return 1;
   }
 
-  // Snapshot-shipping ablation: fault-isolated children either load the
-  // parent's spa-ir-v1 snapshot (the default) or rebuild each program
-  // from source inside the fork (UseSnapshots off).  The wall-clock
-  // ratio is the snapshot_speedup BENCH_pipeline.json reports — the
-  // rebuild-vs-deserialize delta per isolated run.  Same interleaved
-  // best-of-N discipline as the guard ablation.
-  auto SnapRun = [&](const char *Name, bool UseSnapshots) {
-    BatchOptions BOpts;
-    BOpts.Analyzer.TimeLimitSec = TimeLimit;
-    BOpts.Analyzer.Jobs = Par;
-    BOpts.Isolate = true;
-    BOpts.UseSnapshots = UseSnapshots;
-    return recordRun(std::string("snapshot:") + Name,
-                     engineName(BOpts.Analyzer.Engine),
-                     [&] { return runBatch(suiteBatch(Scale), BOpts); });
-  };
-  SnapRun("warmup", true);
-  double SnapOffSec = 0, SnapOnSec = 0;
-  size_t SnapFailed = 0;
-  for (int Rep = 0; Rep < 2; ++Rep) {
-    bool OnFirst = Rep % 2;
-    BatchResult A = OnFirst ? SnapRun("on", true) : SnapRun("off", false);
-    BatchResult B = OnFirst ? SnapRun("off", false) : SnapRun("on", true);
-    BatchResult &Off = OnFirst ? B : A;
-    BatchResult &On = OnFirst ? A : B;
-    SnapOffSec = Rep ? std::min(SnapOffSec, Off.Seconds) : Off.Seconds;
-    SnapOnSec = Rep ? std::min(SnapOnSec, On.Seconds) : On.Seconds;
-    SnapFailed += Off.numFailed() + On.numFailed();
-  }
-  std::printf("snapshot shipping: rebuild %.3fs, snapshot %.3fs "
-              "(%.2fx speedup)\n",
-              SnapOffSec, SnapOnSec,
-              SnapOnSec > 0 ? SnapOffSec / SnapOnSec : 0);
-  if (SnapFailed > 0) {
-    std::printf("\nerror: snapshot ablation batch had failures\n");
-    return 1;
-  }
-
   // Resident-daemon ablation: a warm serve::Service answering repeat
   // requests from its cache (the byte-identity fast path — no parse, no
   // encode, no fixpoint) against a cold service (Incremental off, the

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The `spa-ir-v1` snapshot: a versioned, endian-fixed binary serialization
-/// of ir::Program.  A snapshot is the unit of work the batch/shard drivers
-/// ship across process (and eventually machine) boundaries: the parent
-/// parses and lowers a program once, and every isolated child or shard
-/// worker reconstructs the identical Program from the bytes instead of
-/// re-running the frontend (the single biggest per-item cold-start cost).
+/// of ir::Program.  A snapshot is the unit of work the shard coordinator
+/// ships across process (and eventually machine) boundaries: the parent
+/// parses and lowers a program once, and every shard worker reconstructs
+/// the identical Program from the bytes instead of re-running the
+/// frontend.
 ///
 /// Wire format (all integers little-endian, fixed width):
 ///

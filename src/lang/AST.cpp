@@ -6,6 +6,7 @@
 
 #include "lang/AST.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -124,6 +125,7 @@ std::unique_ptr<Expr> Expr::makeBinary(BinOp Op, std::unique_ptr<Expr> L,
   E->Lhs = std::move(L);
   E->Rhs = std::move(R);
   E->Line = Line;
+  E->Height = 1 + std::max(E->Lhs->Height, E->Rhs->Height);
   return E;
 }
 
@@ -141,6 +143,7 @@ std::unique_ptr<Expr> Expr::clone() const {
   E->Num = Num;
   E->Name = Name;
   E->Op = Op;
+  E->Height = Height;
   if (Lhs)
     E->Lhs = Lhs->clone();
   if (Rhs)

@@ -49,6 +49,9 @@ struct Expr {
   std::string Name;       ///< Var / AddrOf / Deref.
   BinOp Op = BinOp::Add;  ///< Binary.
   std::unique_ptr<Expr> Lhs, Rhs;
+  /// Nodes on the longest path down to a leaf (1 for a leaf); the parser
+  /// bounds it, so no recursive walk of a parsed tree runs deep.
+  unsigned Height = 1;
 
   static std::unique_ptr<Expr> makeNum(int64_t N, unsigned Line);
   static std::unique_ptr<Expr> makeVar(std::string Name, unsigned Line);

@@ -17,7 +17,9 @@ namespace {
 /// Hand-written LL(4) parser (four tokens of lookahead disambiguate the
 /// indirect-call statement `x = (*p)(...)` from a parenthesized deref
 /// expression `x = (*p + e)`).  Errors set a flag and message;
-/// productions short-circuit once a failure is recorded.
+/// productions short-circuit once a failure is recorded.  Nesting is
+/// bounded (MaxNesting), so hostile input is a parse error rather than a
+/// stack overflow here or in any later walk of the tree.
 class Parser {
 public:
   explicit Parser(std::string_view Source) : Lex(Source) {
@@ -66,6 +68,31 @@ private:
     }
     advance();
     return true;
+  }
+
+  /// One level of recursive nesting, counted in \p Depth for its scope;
+  /// Ok is false, and the parse has failed, past MaxNesting.
+  struct Nest {
+    Nest(Parser &P, unsigned &Depth, const char *What) : Depth(Depth) {
+      Ok = ++Depth <= MaxNesting;
+      if (!Ok)
+        P.fail(std::string(What) + " nesting deeper than " +
+               std::to_string(MaxNesting) + " levels");
+    }
+    ~Nest() { --Depth; }
+    unsigned &Depth;
+    bool Ok;
+  };
+
+  /// A binary node, failing the parse when it makes the expression taller
+  /// than MaxNesting (long operator chains nest without recursing).
+  std::unique_ptr<Expr> binary(BinOp Op, std::unique_ptr<Expr> L,
+                               std::unique_ptr<Expr> R, unsigned Line) {
+    auto E = Expr::makeBinary(Op, std::move(L), std::move(R), Line);
+    if (E->Height > MaxNesting)
+      fail("expression nesting deeper than " + std::to_string(MaxNesting) +
+           " levels");
+    return E;
   }
 
   std::string expectIdent() {
@@ -179,6 +206,9 @@ private:
   }
 
   std::unique_ptr<Stmt> parseIf() {
+    Nest N(*this, StmtNesting, "statement");
+    if (!N.Ok)
+      return nullptr;
     auto S = std::make_unique<Stmt>();
     S->Kind = StmtKind::If;
     S->Line = Tok.Line;
@@ -195,6 +225,9 @@ private:
   }
 
   std::unique_ptr<Stmt> parseWhile() {
+    Nest N(*this, StmtNesting, "statement");
+    if (!N.Ok)
+      return nullptr;
     auto S = std::make_unique<Stmt>();
     S->Kind = StmtKind::While;
     S->Line = Tok.Line;
@@ -378,7 +411,7 @@ private:
       BinOp Op = Tok.Kind == TokenKind::Plus ? BinOp::Add : BinOp::Sub;
       unsigned Line = Tok.Line;
       advance();
-      L = Expr::makeBinary(Op, std::move(L), parseTerm(), Line);
+      L = binary(Op, std::move(L), parseTerm(), Line);
     }
     return L;
   }
@@ -396,7 +429,7 @@ private:
                                                      : BinOp::Mod);
       unsigned Line = Tok.Line;
       advance();
-      L = Expr::makeBinary(Op, std::move(L), parseFactor(), Line);
+      L = binary(Op, std::move(L), parseFactor(), Line);
     }
     return L;
   }
@@ -438,11 +471,16 @@ private:
         advance();
         return Expr::makeNum(-Value, Line);
       }
-      return Expr::makeBinary(BinOp::Sub, Expr::makeNum(0, Line),
-                              parseFactor(), Line);
+      Nest N(*this, ExprNesting, "expression");
+      if (!N.Ok)
+        return Expr::makeNum(0, Line);
+      return binary(BinOp::Sub, Expr::makeNum(0, Line), parseFactor(), Line);
     }
     case TokenKind::LParen: {
       advance();
+      Nest N(*this, ExprNesting, "expression");
+      if (!N.Ok)
+        return Expr::makeNum(0, Line);
       auto E = parseExpr();
       expect(TokenKind::RParen);
       return E;
@@ -454,6 +492,10 @@ private:
   }
 
   static constexpr size_t LookAhead = 4;
+  /// Deepest expression or statement nesting accepted — the snapshot
+  /// loader's expression-depth cap, so every parsed program also
+  /// round-trips through a snapshot.
+  static constexpr unsigned MaxNesting = 1024;
 
   Lexer Lex;
   Token Buf[LookAhead];
@@ -461,6 +503,8 @@ private:
   Token &Ahead = Buf[1];
   bool Failed = false;
   std::string ErrorMessage;
+  unsigned ExprNesting = 0; ///< Open parentheses and unary minuses.
+  unsigned StmtNesting = 0; ///< Open if/while bodies.
 };
 
 } // namespace

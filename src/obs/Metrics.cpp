@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include <pthread.h>
+
 using namespace spa::obs;
 
 void Histogram::observe(double X) {
@@ -61,6 +63,11 @@ double Histogram::quantile(double Q) const {
     Cum = Next;
   }
   return Max;
+}
+
+Registry::Registry() {
+  pthread_atfork([] { global().M.lock(); }, [] { global().M.unlock(); },
+                 [] { global().M.unlock(); });
 }
 
 Registry &Registry::global() {

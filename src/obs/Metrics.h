@@ -160,7 +160,10 @@ public:
       const;
 
 private:
-  Registry() = default;
+  /// Registers pthread_atfork handlers that hold M across fork(): a child
+  /// forked while another thread registers an instrument would otherwise
+  /// inherit M locked with no owner, and hang on its first registration.
+  Registry();
   mutable std::mutex M;
   std::map<std::string, Counter> Counters;
   std::map<std::string, Gauge> Gauges;

@@ -10,7 +10,7 @@
 ///
 ///  * The postmortem writer.  postmortemInstall() pre-opens an output
 ///    file and hooks SIGSEGV/SIGBUS/SIGABRT; when the process dies — or
-///    when a hard memory cap turns operator new into a fatal trip — an
+///    when the injected oom fault calls it before exiting — an
 ///    async-signal-safe writer dumps the run identity, every thread's
 ///    journal tail (obs/Journal.h), a registry snapshot taken through a
 ///    pre-built index of atomic instrument addresses, and the last
@@ -24,13 +24,13 @@
 ///    heartbeat across two consecutive intervals is declared stalled.
 ///    The watchdog then records the stall in the journal, emits a stall
 ///    postmortem (stuck partition, worklist depth, last event), ships
-///    the compact summary through the batch pipe when one is attached,
-///    and exits with StallExitCode — which the batch parent classifies
-///    as `stalled`, distinct from `timeout`.
+///    the compact summary through the result pipe when one is attached,
+///    and exits with StallExitCode — which the shard coordinator
+///    classifies as `stalled`, distinct from `timeout`.
 ///
-/// A compact fixed-size PostmortemSummary additionally travels over the
-/// isolated-batch result pipe (support/Resource.h), tagged by a magic
-/// length prefix no legitimate payload can produce, so crash/oom/stall
+/// A compact fixed-size PostmortemSummary additionally travels over a
+/// shard worker's result pipe (workload/ShardCoordinator.h), tagged by a
+/// magic length prefix no legitimate frame can carry, so crash/oom/stall
 /// items carry a diagnosis back to the parent instead of a bare exit
 /// code.
 ///
@@ -59,12 +59,12 @@ enum class PostmortemReason : uint8_t {
   None = 0,
   Signal = 1, ///< SIGSEGV / SIGBUS / SIGABRT.
   Stall = 2,  ///< Watchdog: heartbeats stopped inside a fixpoint.
-  Oom = 3,    ///< Hard memory cap: operator new failed.
+  Oom = 3,    ///< Out of memory (the injected oom fault).
 };
 
 const char *postmortemReasonName(PostmortemReason R);
 
-/// Compact diagnosis shipped over the isolated-batch result pipe.  All
+/// Compact diagnosis shipped over a shard worker's result pipe.  All
 /// fields are u64 so the struct has no padding surprises across the
 /// fork boundary (same binary on both sides).
 struct PostmortemSummary {
@@ -80,8 +80,8 @@ struct PostmortemSummary {
 };
 
 /// Length-prefix magic tagging a PostmortemSummary on the result pipe.
-/// Greater than any legal payload count (MaxPayloadDoubles), so the
-/// parent's reader can branch on the first u32.
+/// Greater than any legal result-frame length, so the parent's reader
+/// can branch on the first u32.
 constexpr uint32_t PostmortemPipeMagic = 0xDEADD00Du;
 
 /// One line of human text for a shipped summary ("stalled in partition
@@ -98,7 +98,7 @@ struct PostmortemOptions {
   /// Run identity baked into the file name and the JSON (batch item
   /// name, program path, ...).  Null defaults to "run".
   const char *RunId = nullptr;
-  /// Write end of the isolated-batch result pipe; -1 = none.
+  /// Write end of the shard worker's result pipe; -1 = none.
   int PipeFd = -1;
 };
 

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <pthread.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -171,6 +172,13 @@ Tracer &Tracer::global() {
 }
 
 Tracer::Tracer() {
+  // Hold M across fork(), like the registry's mutex.  record() takes the
+  // registry's mutex while holding M (first trace.dropped registration),
+  // so M must be taken first: the registry registers its handlers before
+  // this one, and prepare handlers run in reverse registration order.
+  (void)Registry::global();
+  pthread_atfork([] { global().M.lock(); }, [] { global().M.unlock(); },
+                 [] { global().M.unlock(); });
   // Pin the shared timebase before any span can be stamped.
   (void)obsEpochNanos();
   if (const char *Env = std::getenv(TraceContextEnvVar)) {

@@ -108,8 +108,8 @@ void spa::maybeInjectFault(const char *Phase) {
     _exit(OomExitCode);
   case FaultPlan::Kind::Timeout:
   case FaultPlan::Kind::Stall:
-    // Hang until something external reaps this process: the batch
-    // parent's hard kill limit, or — when armed at the in-fixpoint
+    // Hang until something external reaps this process: the shard
+    // coordinator's hard kill limit, or — when armed at the in-fixpoint
     // "fixloop" checkpoint with the watchdog running — the heartbeat
     // monitor, which writes a stall postmortem and exits StallExitCode.
     for (;;)

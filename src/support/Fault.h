@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic fault injection for testing the batch driver's failure
+/// Deterministic fault injection for testing the batch executor's failure
 /// isolation (docs/ROBUSTNESS.md).  A fault plan is parsed from
 ///
 ///   SPA_FAULT=<kind>@<phase>[:<name-substr>]
@@ -15,19 +15,20 @@
 /// depbuild, fix, check), the amortized in-fixpoint checkpoint
 /// ("fixloop" — the only site where `stall` makes sense: it hangs the
 /// loop *between* heartbeats, which is what the watchdog of
-/// obs/Postmortem.h exists to catch), the batch parent's pipe-reader
-/// phase ("reader"), or "*", and the optional <name-substr> restricts
-/// the fault to programs whose batch-item name contains the substring.  The plan only fires inside a
-/// FaultScope, which the batch driver installs exclusively in *isolated*
-/// child processes — injected faults therefore kill at most one
-/// program's subprocess, exactly the failure domain the isolation layer
-/// must contain.
+/// obs/Postmortem.h exists to catch), the shard worker's per-item
+/// checkpoint ("shardloop"), the coordinator's frame-reader phase
+/// ("reader"), or "*", and the optional <name-substr> restricts the
+/// fault to batch items whose name contains the substring.  The plan
+/// only fires inside a FaultScope, which the shard coordinator installs
+/// exclusively in its forked workers, around one item at a time —
+/// injected faults therefore kill at most one worker and the item it
+/// holds, exactly the failure domain the isolation layer must contain.
 ///
-/// The truncate/partial kinds are the one exception: they model a child
-/// whose result pipe tore (no length prefix at all, or a payload cut off
-/// mid-write), which is inherently a *parent-side* failure to observe.
-/// The batch driver arms them around its reader instead of in the child,
-/// and the reader simulates the short read itself (faultMatches below)
+/// The truncate/partial kinds are the one exception: they model a result
+/// frame that tore (no bytes at all, or a payload cut off mid-write),
+/// which is inherently a *parent-side* failure to observe.  The
+/// coordinator arms them around its frame reader instead of in the
+/// worker, and the reader tears the frame itself (faultMatches below)
 /// rather than killing anything.
 ///
 //===----------------------------------------------------------------------===//
@@ -39,9 +40,9 @@
 
 namespace spa {
 
-/// Exit code an isolated child uses to report memory exhaustion (both
-/// injected "oom" faults and a real operator-new failure under
-/// setrlimit), distinguishable from crashes (signals) and build errors.
+/// Exit code of a process that ran out of memory on purpose (the
+/// injected "oom" fault), distinguishable from crashes (signals) and
+/// build errors; the shard coordinator classifies it Oom.
 constexpr int OomExitCode = 86;
 
 /// A parsed SPA_FAULT specification.
@@ -53,8 +54,8 @@ struct FaultPlan {
 
   bool active() const { return K != Kind::None; }
 
-  /// The kinds the batch driver arms in the parent (around its pipe
-  /// reader) instead of in the isolated child.
+  /// The kinds the coordinator arms in the parent (around its frame
+  /// reader) instead of in the worker.
   bool parentSide() const {
     return K == Kind::Truncate || K == Kind::Partial;
   }
@@ -68,8 +69,9 @@ struct FaultPlan {
 };
 
 /// Arms \p Plan for the current thread while in scope, tagging it with
-/// the program name the \p NameSub filter matches against.  Installed
-/// only in isolated batch children; nesting restores the outer scope.
+/// the item name the \p NameSub filter matches against.  Installed only
+/// in shard workers (and around the coordinator's frame reader for the
+/// parent-side kinds); nesting restores the outer scope.
 class FaultScope {
 public:
   FaultScope(const FaultPlan &Plan, std::string ProgramName);
@@ -80,7 +82,7 @@ public:
 
 /// Fires the armed fault if its phase filter matches \p Phase: crash
 /// calls abort(), oom exits with OomExitCode, timeout and stall sleep
-/// until something external reaps the process (the batch parent's kill
+/// until something external reaps the process (the coordinator's kill
 /// limit, or — for a stall armed at the "fixloop" checkpoint — the
 /// heartbeat watchdog, which classifies it `stalled` first).  The
 /// parent-side kinds (truncate/partial) are no-ops here.  No-op outside
@@ -89,8 +91,8 @@ void maybeInjectFault(const char *Phase);
 
 /// True when a plan of kind \p K is armed on this thread and its
 /// phase/name filters match \p Phase.  Query form for faults the caller
-/// simulates itself (the runInChild reader's truncate/partial); never
-/// kills the process.
+/// simulates itself (the frame reader's truncate/partial); never kills
+/// the process.
 bool faultMatches(const char *Phase, FaultPlan::Kind K);
 
 } // namespace spa

@@ -6,12 +6,8 @@
 
 #include "support/Resource.h"
 
-#include "obs/Trace.h"
-#include "support/Fault.h"
-
 #include <cstdio>
 #include <cstring>
-#include <new>
 #include <string>
 
 #include <signal.h>
@@ -31,15 +27,6 @@ namespace {
 /// prefix stays under it.  Bulk data (e.g. bench JSON records) goes
 /// through files, not the pipe.
 constexpr size_t MaxPayloadDoubles = 8000;
-
-/// Whole-pipe byte budget the child may fill before exiting (the parent
-/// drains only after exit, so everything must fit the kernel pipe
-/// buffer).  Kept below the Linux default 64 KiB with headroom for the
-/// payload prefix.
-constexpr size_t PipeByteBudget = 60 * 1024;
-
-/// Ceiling on a span-section length prefix the parent will trust.
-constexpr uint32_t MaxSpanSectionBytes = 1u << 20;
 
 } // namespace
 
@@ -70,10 +57,9 @@ uint64_t spa::currentPeakRssKiB() {
   return KiB;
 }
 
-ChildRunResult spa::runInChild(
-    const std::function<std::vector<double>()> &Job, double TimeLimitSec,
-    uint64_t MemLimitKiB,
-    const std::function<void(int ResultPipeFd)> &ChildSetup) {
+ChildRunResult
+spa::runInChild(const std::function<std::vector<double>()> &Job,
+                double TimeLimitSec) {
   ChildRunResult Result;
 
   int Pipe[2];
@@ -92,22 +78,6 @@ ChildRunResult spa::runInChild(
     // Child: run the job, ship the length-prefixed payload through the
     // pipe.  Writes loop because payloads may exceed PIPE_BUF.
     close(Pipe[0]);
-    if (ChildSetup)
-      ChildSetup(Pipe[1]);
-    if (MemLimitKiB > 0) {
-      // A hard address-space cap with a classifiable failure mode: the
-      // new-handler dumps an OOM postmortem (pipe summary + file, when
-      // installed — write(2) only, no allocation), then bad_alloc
-      // becomes OomExitCode instead of an unhandled-exception abort.
-      std::set_new_handler([] {
-        obs::journalRecord(obs::JournalEventKind::OomTrip, 0, 0);
-        obs::postmortemWriteNow(obs::PostmortemReason::Oom, 0);
-        _exit(OomExitCode);
-      });
-      struct rlimit RL;
-      RL.rlim_cur = RL.rlim_max = MemLimitKiB * 1024;
-      setrlimit(RLIMIT_AS, &RL);
-    }
     std::vector<double> Payload = Job();
     uint32_t Count = static_cast<uint32_t>(
         Payload.size() < MaxPayloadDoubles ? Payload.size()
@@ -125,19 +95,6 @@ ChildRunResult spa::runInChild(
     WriteAll(&Count, sizeof(Count));
     if (Count > 0)
       WriteAll(Payload.data(), Count * sizeof(double));
-    if (obs::Tracer::global().enabled()) {
-      // Ship locally recorded trace spans as a trailing length-prefixed
-      // section, sized to what remains of the pipe budget (newest spans
-      // win when the budget truncates).
-      size_t PayloadBytes = sizeof(Count) + Count * sizeof(double);
-      if (PipeByteBudget > PayloadBytes + 64) {
-        std::vector<uint8_t> Spans = obs::Tracer::global().drainSerialized(
-            PipeByteBudget - PayloadBytes - sizeof(uint32_t));
-        uint32_t Len = static_cast<uint32_t>(Spans.size());
-        WriteAll(&Len, sizeof(Len));
-        WriteAll(Spans.data(), Spans.size());
-      }
-    }
     close(Pipe[1]);
     _exit(0);
   }
@@ -167,46 +124,14 @@ ChildRunResult spa::runInChild(
 
   Result.Seconds = Clock.seconds();
   Result.PeakRssKiB = static_cast<uint64_t>(Usage.ru_maxrss);
-  if (Exited && WIFEXITED(Status))
-    Result.ExitCode = WEXITSTATUS(Status);
-  if (Exited && WIFSIGNALED(Status))
-    Result.TermSignal = WTERMSIG(Status);
-
-  // Injected reader faults (SPA_FAULT=truncate@reader / partial@reader,
-  // armed parent-side by the batch driver) simulate a torn pipe: no
-  // length prefix at all, or a payload cut off mid-write.  Both take
-  // the same !Ok path a real short read does.
-  bool DropPrefix = faultMatches("reader", FaultPlan::Kind::Truncate);
-  bool TearPayload = faultMatches("reader", FaultPlan::Kind::Partial);
   uint32_t Count = 0;
-  bool HavePrefix =
-      !DropPrefix &&
-      read(Pipe[0], &Count, sizeof(Count)) == sizeof(Count);
-  if (HavePrefix && Count == obs::PostmortemPipeMagic) {
-    // A dying child's postmortem summary, not a payload: the magic
-    // exceeds any legal payload count, so the branch is unambiguous.
-    obs::PostmortemSummary Sum;
-    char *P = reinterpret_cast<char *>(&Sum);
-    size_t Left = sizeof(Sum);
-    while (Left > 0) {
-      ssize_t N = read(Pipe[0], P, Left);
-      if (N <= 0)
-        break;
-      P += N;
-      Left -= static_cast<size_t>(N);
-    }
-    if (Left == 0) {
-      Result.Crash = Sum;
-      Result.HasCrashSummary = true;
-    }
-  } else if (Exited && WIFEXITED(Status) && WEXITSTATUS(Status) == 0 &&
-             HavePrefix && Count <= MaxPayloadDoubles) {
+  if (Exited && WIFEXITED(Status) && WEXITSTATUS(Status) == 0 &&
+      read(Pipe[0], &Count, sizeof(Count)) == sizeof(Count) &&
+      Count <= MaxPayloadDoubles) {
     Result.Ok = true;
     Result.Payload.resize(Count);
     char *P = reinterpret_cast<char *>(Result.Payload.data());
     size_t Left = Count * sizeof(double);
-    if (TearPayload)
-      Left /= 2;
     while (Left > 0) {
       ssize_t N = read(Pipe[0], P, Left);
       if (N <= 0) {
@@ -216,31 +141,6 @@ ChildRunResult spa::runInChild(
       }
       P += N;
       Left -= static_cast<size_t>(N);
-    }
-    if (TearPayload && Result.Ok) {
-      Result.Ok = false;
-      Result.Payload.clear();
-    }
-    if (Result.Ok) {
-      // Optional trailing span section: u32 length + serialized spans.
-      // EOF here just means the child was not tracing.
-      uint32_t SpanLen = 0;
-      if (read(Pipe[0], &SpanLen, sizeof(SpanLen)) == sizeof(SpanLen) &&
-          SpanLen > 0 && SpanLen <= MaxSpanSectionBytes) {
-        Result.SpanBuf.resize(SpanLen);
-        char *SP = reinterpret_cast<char *>(Result.SpanBuf.data());
-        size_t SLeft = SpanLen;
-        while (SLeft > 0) {
-          ssize_t N = read(Pipe[0], SP, SLeft);
-          if (N <= 0) {
-            // A torn span section degrades tracing, not the result.
-            Result.SpanBuf.clear();
-            break;
-          }
-          SP += N;
-          SLeft -= static_cast<size_t>(N);
-        }
-      }
     }
   }
   close(Pipe[0]);

@@ -15,8 +15,6 @@
 #ifndef SPA_SUPPORT_RESOURCE_H
 #define SPA_SUPPORT_RESOURCE_H
 
-#include "obs/Postmortem.h"
-
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -65,50 +63,19 @@ struct ChildRunResult {
   bool TimedOut = false;   ///< Child was killed at the limit.
   double Seconds = 0.0;    ///< Wall-clock time of the child.
   uint64_t PeakRssKiB = 0; ///< Child's ru_maxrss (KiB on Linux).
-  /// Exit status of the child: WEXITSTATUS when it exited normally, -1
-  /// otherwise.  Lets callers classify failures (e.g. the batch driver's
-  /// crash/oom taxonomy) instead of collapsing everything into !Ok.
-  int ExitCode = -1;
-  /// Terminating signal when the child died on one (0 otherwise; a child
-  /// the parent killed at the time limit reports TimedOut, not a signal
-  /// failure).
-  int TermSignal = 0;
-  /// Doubles reported back by the child, length-prefixed over the pipe
-  /// (no fixed cap, so rich per-run metric payloads survive the fork
-  /// boundary).
+  /// Doubles reported back by the child, length-prefixed over the pipe.
   std::vector<double> Payload;
-  /// Compact diagnosis a dying child shipped over the pipe (its
-  /// postmortem writer tags it with a magic length prefix no legal
-  /// payload can produce).  Valid only when HasCrashSummary.
-  obs::PostmortemSummary Crash;
-  bool HasCrashSummary = false;
-  /// Serialized trace spans the child recorded (obs/Trace.h
-  /// drainSerialized format), shipped after the payload when the child's
-  /// tracer was recording.  Empty otherwise; the caller feeds it to
-  /// Tracer::ingestSerialized to merge the child's timeline.
-  std::vector<uint8_t> SpanBuf;
 };
 
 /// Runs \p Job in a forked child with a wall-clock limit of
 /// \p TimeLimitSec seconds (0 = unlimited).  The child's return values
-/// (vector of doubles written to a pipe) and ru_maxrss are reported back.
-/// Used by the table benchmarks so each analyzer run gets an isolated
-/// peak-RSS measurement, like the per-process numbers in the paper.
-///
-/// \p MemLimitKiB > 0 caps the child's address space (RLIMIT_AS); an
-/// allocation beyond it makes the child exit with OomExitCode (a
-/// new-handler writes an OOM postmortem, then turns bad_alloc into that
-/// exit, so the failure is classifiable instead of an
-/// unhandled-exception abort).
-///
-/// \p ChildSetup, when set, runs first thing in the child with the
-/// write end of the result pipe — the batch driver uses it to install
-/// the postmortem writer (pipe summaries + file) and the stall
-/// watchdog before any analysis work starts.
-ChildRunResult
-runInChild(const std::function<std::vector<double>()> &Job,
-           double TimeLimitSec, uint64_t MemLimitKiB = 0,
-           const std::function<void(int ResultPipeFd)> &ChildSetup = {});
+/// (vector of doubles written to a pipe the parent drains after the
+/// child exits, so at most 8000 of them) and ru_maxrss are reported
+/// back.  Used by the table benchmarks so each analyzer run gets an
+/// isolated peak-RSS measurement, like the per-process numbers in the
+/// paper.
+ChildRunResult runInChild(const std::function<std::vector<double>()> &Job,
+                          double TimeLimitSec);
 
 /// Peak RSS of the current process in KiB (VmHWM from /proc/self/status).
 uint64_t currentPeakRssKiB();

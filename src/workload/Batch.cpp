@@ -12,23 +12,13 @@
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "obs/MetricsSink.h"
-#include "obs/Postmortem.h"
-#include "obs/Trace.h"
 #include "support/Fault.h"
 #include "support/Resource.h"
 #include "support/ThreadPool.h"
 #include "workload/Suite.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
-
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace spa;
 
@@ -78,7 +68,7 @@ int spa::exitCodeFor(const BatchResult &R) {
   return 0;
 }
 
-static const char *batchEngineName(EngineKind E) {
+const char *spa::batchEngineName(EngineKind E) {
   switch (E) {
   case EngineKind::Vanilla:
     return "vanilla";
@@ -90,85 +80,55 @@ static const char *batchEngineName(EngineKind E) {
   return "unknown";
 }
 
-namespace {
-
-/// Stages snapshot bytes in an anonymous in-memory file a forked child
-/// can pread back (tmp-file fallback when memfd_create is unavailable).
-/// Returns -1 on failure.
-int fdFromBytes(const std::vector<uint8_t> &Bytes) {
-  int Fd = memfd_create("spa-snapshot", 0);
-  if (Fd < 0) {
-    char Tmpl[] = "/tmp/spa-snap-XXXXXX";
-    Fd = mkstemp(Tmpl);
-    if (Fd < 0)
-      return -1;
-    unlink(Tmpl);
-  }
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    ssize_t N = pwrite(Fd, Bytes.data() + Off, Bytes.size() - Off,
-                       static_cast<off_t>(Off));
-    if (N <= 0) {
-      close(Fd);
-      return -1;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return Fd;
+AnalyzerOptions spa::lowerTierOptions(const AnalyzerOptions &A) {
+  AnalyzerOptions T = A;
+  if (T.Budget.DeadlineSec > 0)
+    T.Budget.DeadlineSec /= 2;
+  T.Budget.StepLimit = T.Budget.StepLimit ? T.Budget.StepLimit / 2 : 50000;
+  return T;
 }
 
-/// Child-side read-back of a staged snapshot (pread: the fd's offset is
-/// shared with the parent and possibly a retry, so never seek it).
-std::vector<uint8_t> readAllFd(int Fd) {
-  std::vector<uint8_t> Bytes;
-  struct stat St;
-  if (fstat(Fd, &St) == 0 && St.st_size > 0)
-    Bytes.reserve(static_cast<size_t>(St.st_size));
-  uint8_t Chunk[1 << 16];
-  size_t Off = 0;
-  ssize_t N;
-  while ((N = pread(Fd, Chunk, sizeof(Chunk), static_cast<off_t>(Off))) > 0) {
-    Bytes.insert(Bytes.end(), Chunk, Chunk + N);
-    Off += static_cast<size_t>(N);
-  }
-  return Bytes;
+bool spa::retryable(BatchOutcome O) {
+  return O == BatchOutcome::Timeout || O == BatchOutcome::Oom ||
+         O == BatchOutcome::Crash || O == BatchOutcome::Stalled;
 }
 
-/// Reads a file's raw bytes without interpreting them.
-bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Bytes) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream OS;
-  OS << In.rdbuf();
-  std::string S = OS.str();
-  Bytes.assign(S.begin(), S.end());
-  return true;
+void spa::adoptRetry(BatchItemResult &R, BatchItemResult Retry) {
+  double Total = R.Seconds + Retry.Seconds;
+  if (Retry.Ok)
+    R = std::move(Retry);
+  R.Retried = true;
+  R.Seconds = Total;
 }
 
-/// One in-process attempt: build (or load the item's snapshot), analyze,
-/// check, classify.
-void runItemInProcess(const BatchItem &Item, const BatchOptions &Opts,
-                      const AnalyzerOptions &AOpts, BatchItemResult &R) {
-  std::unique_ptr<Program> Owned;
-  if (!Item.SnapshotPath.empty()) {
-    SnapshotLoadResult L = loadSnapshotFile(Item.SnapshotPath);
-    if (!L.ok()) {
+BatchItemResult spa::runBatchItem(const BatchItem &Item,
+                                  const std::vector<uint8_t> *Snapshot,
+                                  const BatchOptions &Opts,
+                                  const AnalyzerOptions &A) {
+  BatchItemResult R;
+  R.Name = Item.Name;
+  Timer Clock;
+  // The "build" fault phase covers program *construction* whichever way
+  // it happens — frontend or snapshot loader.
+  maybeInjectFault("build");
+  std::unique_ptr<Program> Prog;
+  if (Snapshot || !Item.SnapshotPath.empty()) {
+    SnapshotLoadResult L = Snapshot ? loadSnapshot(*Snapshot)
+                                    : loadSnapshotFile(Item.SnapshotPath);
+    Prog = std::move(L.Prog);
+    if (!Prog)
       R.Error = L.Error.str();
-      R.Outcome = BatchOutcome::BuildError;
-      return;
-    }
-    Owned = std::move(L.Prog);
   } else {
     BuildResult Built = buildProgramFromSource(Item.Source);
-    if (!Built.ok()) {
-      R.Error = Built.Error;
-      R.Outcome = BatchOutcome::BuildError;
-      return;
-    }
-    Owned = std::move(Built.Prog);
+    Prog = std::move(Built.Prog);
+    R.Error = std::move(Built.Error);
   }
-  AnalysisRun Run = analyzeProgram(*Owned, AOpts);
+  if (!Prog) {
+    R.Outcome = BatchOutcome::BuildError;
+    R.Seconds = Clock.seconds();
+    return R;
+  }
+  AnalysisRun Run = analyzeProgram(*Prog, A);
   R.TimedOut = Run.timedOut();
   R.Degraded = Run.degraded();
   R.BudgetSteps = Run.BudgetSteps;
@@ -180,207 +140,45 @@ void runItemInProcess(const BatchItem &Item, const BatchOptions &Opts,
     R.LedgerTimeMicros = T.TimeMicros;
   }
   if (Opts.Check && !R.TimedOut) {
-    CheckerSummary Summary = checkBufferOverruns(*Owned, Run);
+    maybeInjectFault("check");
+    CheckerSummary Summary = checkBufferOverruns(*Prog, Run);
     R.Checks = static_cast<unsigned>(Summary.Checks.size());
     R.Alarms = Summary.numAlarms();
   }
-  if (R.TimedOut) {
+  if (R.TimedOut)
     R.Outcome = BatchOutcome::Timeout;
-    return;
-  }
-  R.Outcome = R.Degraded ? BatchOutcome::Degraded : BatchOutcome::Ok;
-  R.Ok = true;
-}
-
-/// Folds a shipped postmortem summary into the item's failure text, so
-/// `--batch` output answers "why did this run die" without opening the
-/// .pm.json file.
-void appendCrashNote(BatchItemResult &R) {
-  if (R.HasPostmortem && !R.CrashNote.empty())
-    R.Error += "; postmortem: " + R.CrashNote;
-}
-
-/// One isolated attempt: the same work in a forked child, classified
-/// from the child's exit.  The fault plan (SPA_FAULT) arms only inside
-/// the child, so injected faults take down the child, not the batch.
-/// \p SnapFd >= 0 ships a staged spa-ir-v1 snapshot: the child runs the
-/// strict loader instead of the frontend, and a load failure classifies
-/// as BuildError exactly like unparseable source.
-void runItemIsolated(const BatchItem &Item, const BatchOptions &Opts,
-                     const AnalyzerOptions &AOpts, const FaultPlan &Plan,
-                     BatchItemResult &R, int SnapFd) {
-  double Kill = Opts.KillLimitSec;
-  if (Kill <= 0) {
-    double D =
-        std::max(AOpts.Budget.DeadlineSec > 0 ? AOpts.Budget.DeadlineSec : 0.0,
-                 AOpts.TimeLimitSec > 0 ? AOpts.TimeLimitSec : 0.0);
-    Kill = D > 0 ? 4 * D + 1 : 0;
-  }
-
-  // Reader faults (truncate@reader / partial@reader) simulate torn pipe
-  // reads in the *parent*, so they arm here, around runInChild, and only
-  // for those kinds — process-killing kinds stay confined to the child.
-  std::optional<FaultScope> ReaderScope;
-  if (Plan.parentSide())
-    ReaderScope.emplace(Plan, Item.Name);
-
-  // Parent-side span covering the whole isolated attempt; its id crosses
-  // the fork so the child's spans nest under it on the merged timeline.
-  obs::TraceScope ItemSpan(obs::Tracer::global().enabled()
-                               ? "batch.isolate:" + Item.Name
-                               : std::string());
-  uint64_t ItemSpanId = ItemSpan.spanId();
-
-  ChildRunResult CR = runInChild(
-      [&]() -> std::vector<double> {
-        // The fork may happen on a pool worker lane; nested parallel
-        // phases already degrade inline there, but pin Jobs anyway so
-        // the child never touches the (not forked) pool threads.
-        AnalyzerOptions CA = AOpts;
-        CA.Jobs = 1;
-        FaultScope Scope(Plan, Item.Name);
-        // The "build" fault phase covers program *construction* whichever
-        // way it happens — frontend or snapshot loader — so crash@build
-        // keeps meaning "the child died producing its Program".
-        maybeInjectFault("build");
-        std::unique_ptr<Program> Owned;
-        if (SnapFd >= 0) {
-          SnapshotLoadResult L = loadSnapshot(readAllFd(SnapFd));
-          if (!L.ok())
-            return {1, static_cast<double>(L.Error.Code), 0, 0, 0, 0};
-          Owned = std::move(L.Prog);
-        } else {
-          BuildResult Built = buildProgramFromSource(Item.Source);
-          if (!Built.ok())
-            return {1, 0, 0, 0, 0, 0};
-          Owned = std::move(Built.Prog);
-        }
-        AnalysisRun Run = analyzeProgram(*Owned, CA);
-        double Checks = 0, Alarms = 0;
-        if (Opts.Check && !Run.timedOut()) {
-          maybeInjectFault("check");
-          CheckerSummary S = checkBufferOverruns(*Owned, Run);
-          Checks = static_cast<double>(S.Checks.size());
-          Alarms = S.numAlarms();
-        }
-        obs::PointCost T =
-            Run.Ledger ? Run.Ledger->totals() : obs::PointCost{};
-        // A clean finish tears the forensics down so the postmortem file
-        // (pre-opened empty) is unlinked, not left as a false positive.
-        obs::postmortemUninstall();
-        return {0, Run.timedOut() ? 1.0 : 0.0, Run.degraded() ? 1.0 : 0.0,
-                Checks, Alarms, static_cast<double>(Run.BudgetSteps),
-                static_cast<double>(T.Visits),
-                static_cast<double>(T.Widenings),
-                static_cast<double>(T.Growth),
-                static_cast<double>(T.TimeMicros)};
-      },
-      Kill, Opts.HardMemLimitKiB,
-      /*ChildSetup=*/[&](int ResultPipeFd) {
-        // First thing after fork: scrub inherited journal slots and the
-        // inherited span buffer (the child's spans root under the
-        // parent's item span), then install the postmortem writer (file
-        // + pipe summaries) and the stall watchdog before any analysis
-        // work starts.
-        obs::journalResetForChild();
-        obs::Tracer::global().resetForChild(ItemSpanId);
-        obs::PostmortemOptions PO;
-        PO.Dir = Opts.PostmortemDir.empty() ? nullptr
-                                            : Opts.PostmortemDir.c_str();
-        PO.RunId = Item.Name.c_str();
-        PO.PipeFd = ResultPipeFd;
-        obs::postmortemInstall(PO);
-        obs::watchdogStart(Opts.WatchdogMs);
-      });
-
-  if (!CR.SpanBuf.empty())
-    obs::Tracer::global().ingestSerialized(CR.SpanBuf.data(),
-                                           CR.SpanBuf.size());
-
-  R.PeakRssKiB = CR.PeakRssKiB;
-  if (CR.HasCrashSummary) {
-    R.CrashNote = obs::postmortemSummaryText(CR.Crash);
-    R.HasPostmortem = true;
-  }
-  if (CR.TimedOut) {
-    R.TimedOut = true;
-    R.Outcome = BatchOutcome::Timeout;
-    R.Error = "killed at the isolation kill limit";
-    appendCrashNote(R);
-    return;
-  }
-  if (CR.Ok && CR.Payload.size() >= 5) {
-    if (CR.Payload[0] != 0) {
-      R.Outcome = BatchOutcome::BuildError;
-      // Payload[1] carries the child loader's SnapErrc for snapshot-fed
-      // items (0 for a frontend build error), so the parent can say
-      // *which* way the bytes were bad without a string channel.
-      auto Errc = CR.Payload.size() >= 2
-                      ? static_cast<SnapErrc>(static_cast<int>(CR.Payload[1]))
-                      : SnapErrc::None;
-      R.Error = Errc != SnapErrc::None
-                    ? std::string("snapshot load error (isolated child): ") +
-                          snapshotErrorName(Errc)
-                    : "build error (isolated child)";
-      return;
-    }
-    R.TimedOut = CR.Payload[1] != 0;
-    R.Degraded = CR.Payload[2] != 0;
-    R.Checks = static_cast<unsigned>(CR.Payload[3]);
-    R.Alarms = static_cast<unsigned>(CR.Payload[4]);
-    if (CR.Payload.size() >= 6)
-      R.BudgetSteps = static_cast<uint64_t>(CR.Payload[5]);
-    if (CR.Payload.size() >= 10) {
-      R.LedgerVisits = static_cast<uint64_t>(CR.Payload[6]);
-      R.LedgerWidenings = static_cast<uint64_t>(CR.Payload[7]);
-      R.LedgerGrowth = static_cast<uint64_t>(CR.Payload[8]);
-      R.LedgerTimeMicros = static_cast<uint64_t>(CR.Payload[9]);
-    }
-    if (R.TimedOut) {
-      R.Outcome = BatchOutcome::Timeout;
-      return;
-    }
+  else
     R.Outcome = R.Degraded ? BatchOutcome::Degraded : BatchOutcome::Ok;
-    R.Ok = true;
-    return;
-  }
-  if (CR.ExitCode == OomExitCode) {
-    R.Outcome = BatchOutcome::Oom;
-    R.Error = "out of memory (isolated child)";
-    appendCrashNote(R);
-    return;
-  }
-  if (CR.ExitCode == obs::StallExitCode) {
-    // The child's watchdog diagnosed a heartbeat-dead fixpoint and shot
-    // the process — a hang with forensics, not a timeout.
-    R.Outcome = BatchOutcome::Stalled;
-    R.Error = "fixpoint stalled (watchdog)";
-    appendCrashNote(R);
-    return;
-  }
-  if (CR.ExitCode == 0) {
-    // The child exited cleanly but its result never made it through the
-    // pipe intact (torn write, or an injected reader fault): the item is
-    // lost, not the batch.
-    R.Outcome = BatchOutcome::Crash;
-    R.Error = "truncated result payload from child";
-    return;
-  }
-  R.Outcome = BatchOutcome::Crash;
-  R.Error = CR.TermSignal
-                ? "child killed by signal " + std::to_string(CR.TermSignal)
-                : "child exited with status " + std::to_string(CR.ExitCode);
-  appendCrashNote(R);
+  R.Ok = !R.TimedOut;
+  R.Seconds = Clock.seconds();
+  return R;
 }
 
-} // namespace
+void spa::publishBatchGauges(const BatchResult &R, unsigned Lanes) {
+  // Gauge scoping: per-run gauges (program.points, analysis.degraded,
+  // phase.*.seconds, ledger.*) hold whichever item's run wrote them
+  // last — meaningless at batch level and misleading in the batch's
+  // --metrics-out snapshot.  Zero them so the export carries only
+  // batch-scoped gauges; counters and histograms accumulate as before.
+  // Peak RSS is a genuine process-wide maximum, so it is re-measured.
+  obs::Registry::global().resetGauges();
+  SPA_OBS_GAUGE_MAX("mem.peak_rss_kib", currentPeakRssKiB());
 
-AnalyzerOptions spa::lowerTierOptions(const AnalyzerOptions &A) {
-  AnalyzerOptions T = A;
-  if (T.Budget.DeadlineSec > 0)
-    T.Budget.DeadlineSec /= 2;
-  T.Budget.StepLimit = T.Budget.StepLimit ? T.Budget.StepLimit / 2 : 50000;
-  return T;
+  SPA_OBS_GAUGE_SET("batch.programs", R.Items.size());
+  SPA_OBS_GAUGE_SET("batch.failed", R.numFailed());
+  SPA_OBS_GAUGE_SET("batch.jobs", Lanes);
+  SPA_OBS_GAUGE_SET("batch.seconds", R.Seconds);
+  SPA_OBS_GAUGE_SET("batch.programs_per_sec", R.programsPerSec());
+  SPA_OBS_GAUGE_SET("batch.degraded", R.numDegraded());
+  SPA_OBS_GAUGE_SET("batch.failures.timeout",
+                    R.countOutcome(BatchOutcome::Timeout));
+  SPA_OBS_GAUGE_SET("batch.failures.oom", R.countOutcome(BatchOutcome::Oom));
+  SPA_OBS_GAUGE_SET("batch.failures.crash",
+                    R.countOutcome(BatchOutcome::Crash));
+  SPA_OBS_GAUGE_SET("batch.failures.stalled",
+                    R.countOutcome(BatchOutcome::Stalled));
+  SPA_OBS_GAUGE_SET("batch.failures.build_error",
+                    R.countOutcome(BatchOutcome::BuildError));
 }
 
 BatchResult spa::runBatch(const std::vector<BatchItem> &Items,
@@ -391,85 +189,8 @@ BatchResult spa::runBatch(const std::vector<BatchItem> &Items,
   AnalyzerOptions AOpts = Opts.Analyzer;
   if (Opts.Check)
     AOpts.Dep.Bypass = false; // The checker reads input buffers.
+  AnalyzerOptions Lower = lowerTierOptions(AOpts);
   unsigned Jobs = AOpts.Jobs ? AOpts.Jobs : ThreadPool::defaultJobs();
-  // Parsed once per batch so tests can flip SPA_FAULT between runs.
-  FaultPlan Plan = FaultPlan::fromEnv();
-
-  // Staged snapshots, one per item: the parent builds (or reads) each
-  // program's bytes exactly once, and both the first pass and the retry
-  // ship the same memfd.  Each slot is touched only by its own item's
-  // lane (first pass and retry of one index never overlap), so no locks.
-  struct StagedSnapshot {
-    int Fd = -1;
-    bool Failed = false;
-    std::string Error;
-  };
-  std::vector<StagedSnapshot> Staged(Items.size());
-  std::atomic<uint64_t> ShipItems{0}, ShipBytes{0};
-  auto NeedShip = [&](const BatchItem &It) {
-    // Snapshot-file items have no source to rebuild from, so their bytes
-    // ship even with UseSnapshots off (the bench ablation toggle).
-    return Opts.Isolate && (Opts.UseSnapshots || !It.SnapshotPath.empty());
-  };
-  auto Stage = [&](size_t I) -> StagedSnapshot & {
-    StagedSnapshot &S = Staged[I];
-    if (S.Fd >= 0 || S.Failed)
-      return S;
-    const BatchItem &It = Items[I];
-    std::vector<uint8_t> Bytes;
-    if (!It.SnapshotPath.empty()) {
-      // Raw and unvalidated on purpose: the *child's* strict loader is
-      // the validation boundary, and a corrupt file must classify as
-      // that item's BuildError, not abort the parent.
-      if (!readFileBytes(It.SnapshotPath, Bytes)) {
-        S.Failed = true;
-        S.Error = "cannot read snapshot " + It.SnapshotPath;
-        return S;
-      }
-    } else {
-      BuildResult Built = buildProgramFromSource(It.Source);
-      if (!Built.ok()) {
-        S.Failed = true;
-        S.Error = Built.Error;
-        return S;
-      }
-      Bytes = saveSnapshot(*Built.Prog);
-    }
-    S.Fd = fdFromBytes(Bytes);
-    if (S.Fd < 0) {
-      S.Failed = true;
-      S.Error = "cannot stage snapshot in memory";
-      return S;
-    }
-    ShipItems += 1;
-    ShipBytes += Bytes.size();
-    return S;
-  };
-
-  auto RunOnce = [&](size_t I, const AnalyzerOptions &A, BatchItemResult &R) {
-    const BatchItem &Item = Items[I];
-    if (!Opts.Isolate) {
-      runItemInProcess(Item, Opts, A, R);
-      return;
-    }
-    int SnapFd = -1;
-    if (NeedShip(Item)) {
-      StagedSnapshot &S = Stage(I);
-      if (S.Failed) {
-        // Parent-side build/read failure: same deterministic BuildError
-        // the child would have reported, without paying for a fork.
-        R.Outcome = BatchOutcome::BuildError;
-        R.Error = S.Error;
-        return;
-      }
-      SnapFd = S.Fd;
-    }
-    runItemIsolated(Item, Opts, A, Plan, R, SnapFd);
-  };
-  auto Retryable = [](BatchOutcome O) {
-    return O == BatchOutcome::Timeout || O == BatchOutcome::Oom ||
-           O == BatchOutcome::Crash || O == BatchOutcome::Stalled;
-  };
 
   Timer Clock;
   // One program per index: each lane builds and analyzes its own Program
@@ -477,111 +198,19 @@ BatchResult spa::runBatch(const std::vector<BatchItem> &Items,
   // atomic).  Inside a worker lane the analyzer's parallel phases run
   // inline, so the batch does not oversubscribe the pool.
   ThreadPool::global().parallelFor(Items.size(), Jobs, [&](size_t I) {
-    BatchItemResult &R = Result.Items[I];
-    R.Name = Items[I].Name;
     SPA_OBS_JOURNAL(BatchItemBegin, I, 0);
-    Timer ItemClock;
-    RunOnce(I, AOpts, R);
-    R.Seconds = ItemClock.seconds();
-    SPA_OBS_JOURNAL(BatchItemEnd, I, static_cast<uint64_t>(R.Outcome));
-  });
-
-  // Second pass: retry the retryable failures at the tightened tier.
-  // The queue is ordered by first-pass cost, heaviest first — budget
-  // steps when the run reported them, peak RSS as the tie-break (the
-  // only signal a crashed/OOM child leaves) — so the longest retries
-  // enter the pool first instead of straggling at the batch tail.
-  // parallelFor lanes claim indices in submission order, which makes
-  // this a priority order even under dynamic scheduling.
-  uint64_t HeavySerialized = 0;
-  std::vector<size_t> RetryQueue;
-  if (Opts.RetryAtLowerTier)
-    for (size_t I = 0; I < Result.Items.size(); ++I)
-      if (Retryable(Result.Items[I].Outcome))
-        RetryQueue.push_back(I);
-  if (!RetryQueue.empty()) {
-    std::stable_sort(RetryQueue.begin(), RetryQueue.end(),
-                     [&](size_t A, size_t B) {
-                       const BatchItemResult &RA = Result.Items[A];
-                       const BatchItemResult &RB = Result.Items[B];
-                       if (RA.BudgetSteps != RB.BudgetSteps)
-                         return RA.BudgetSteps > RB.BudgetSteps;
-                       return RA.PeakRssKiB > RB.PeakRssKiB;
-                     });
-    AnalyzerOptions Tier = lowerTierOptions(AOpts);
-    auto RetryOne = [&](size_t I) {
-      BatchItemResult &R = Result.Items[I];
+    BatchItemResult R = runBatchItem(Items[I], nullptr, Opts, AOpts);
+    if (Opts.RetryAtLowerTier && retryable(R.Outcome)) {
       SPA_OBS_COUNT("batch.retries", 1);
-      double FirstSeconds = R.Seconds;
-      Timer ItemClock;
-      BatchItemResult Retry;
-      Retry.Name = R.Name;
-      RunOnce(I, Tier, Retry);
-      Retry.Retried = true;
-      // Keep the first classification when the retry fails too (a
-      // deterministic fault re-fires, so taxonomy counts stay equal to
-      // the injected faults).
-      if (Retry.Ok)
-        R = std::move(Retry);
-      else
-        R.Retried = true;
-      R.Seconds = FirstSeconds + ItemClock.seconds();
-    };
-    // Memory-aware serialization: items whose first attempt peaked at or
-    // above the heavy threshold retry one at a time, before the parallel
-    // pass, so two memory-heavy retries can never be in flight together
-    // and OOM each other.  Heavy items are already at the front of the
-    // cost-sorted queue.
-    std::vector<size_t> Parallel;
-    for (size_t I : RetryQueue) {
-      if (Opts.SerializeRetryRssKiB &&
-          Result.Items[I].PeakRssKiB >= Opts.SerializeRetryRssKiB) {
-        ++HeavySerialized;
-        RetryOne(I);
-      } else {
-        Parallel.push_back(I);
-      }
+      adoptRetry(R, runBatchItem(Items[I], nullptr, Opts, Lower));
     }
-    ThreadPool::global().parallelFor(Parallel.size(), Jobs,
-                                     [&](size_t K) { RetryOne(Parallel[K]); });
-  }
+    SPA_OBS_JOURNAL(BatchItemEnd, I, static_cast<uint64_t>(R.Outcome));
+    Result.Items[I] = std::move(R);
+  });
   Result.Seconds = Clock.seconds();
 
-  for (StagedSnapshot &S : Staged)
-    if (S.Fd >= 0)
-      close(S.Fd);
-
-  // Gauge scoping: per-run gauges (program.points, analysis.degraded,
-  // phase.*.seconds, ledger.*) hold whichever item's run wrote them
-  // last — meaningless at batch level and misleading in the batch's
-  // --metrics-out snapshot.  Zero them so the export carries only
-  // batch-scoped gauges; counters and histograms accumulate as before.
-  // Peak RSS is a genuine process-wide maximum, so it is re-measured.
-  obs::Registry::global().resetGauges();
-  SPA_OBS_GAUGE_MAX("mem.peak_rss_kib", currentPeakRssKiB());
-
-  SPA_OBS_GAUGE_SET("batch.programs", Items.size());
-  SPA_OBS_GAUGE_SET("batch.failed", Result.numFailed());
-  SPA_OBS_GAUGE_SET("batch.jobs", Jobs);
-  SPA_OBS_GAUGE_SET("batch.isolated", Opts.Isolate ? 1 : 0);
-  SPA_OBS_GAUGE_SET("batch.seconds", Result.Seconds);
-  SPA_OBS_GAUGE_SET("batch.programs_per_sec", Result.programsPerSec());
-  SPA_OBS_GAUGE_SET("batch.degraded", Result.numDegraded());
-  SPA_OBS_GAUGE_SET("batch.failures.timeout",
-                    Result.countOutcome(BatchOutcome::Timeout));
-  SPA_OBS_GAUGE_SET("batch.failures.oom",
-                    Result.countOutcome(BatchOutcome::Oom));
-  SPA_OBS_GAUGE_SET("batch.failures.crash",
-                    Result.countOutcome(BatchOutcome::Crash));
-  SPA_OBS_GAUGE_SET("batch.failures.stalled",
-                    Result.countOutcome(BatchOutcome::Stalled));
-  SPA_OBS_GAUGE_SET("batch.failures.build_error",
-                    Result.countOutcome(BatchOutcome::BuildError));
-  SPA_OBS_GAUGE_SET("batch.snapshot.items", ShipItems.load());
-  SPA_OBS_GAUGE_SET("batch.snapshot.bytes", ShipBytes.load());
-  SPA_OBS_GAUGE_SET("batch.retries.serialized", HeavySerialized);
-  obs::MetricsSink::appendBenchRecord("batch",
-                                      batchEngineName(AOpts.Engine),
+  publishBatchGauges(Result, Jobs);
+  obs::MetricsSink::appendBenchRecord("batch", batchEngineName(AOpts.Engine),
                                       Result.numFailed() == 0);
   return Result;
 }

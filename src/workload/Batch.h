@@ -20,6 +20,7 @@
 
 #include "core/Analyzer.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,14 +36,10 @@ struct BatchItem {
   std::string Name;
   std::string Source;
   /// When set, the program comes from this snapshot file and Source is
-  /// ignored.  The bytes are shipped to isolated children *unvalidated*:
-  /// a corrupt file is the child's loader's problem and classifies as
-  /// BuildError, the snapshot equivalent of unparseable source.
+  /// ignored.  The bytes reach the strict snapshot loader *unvalidated*:
+  /// a corrupt file classifies as BuildError, the snapshot equivalent of
+  /// unparseable source.
   std::string SnapshotPath;
-  /// Expected peak RSS (KiB; 0 = unknown).  The shard coordinator's
-  /// memory-aware bin-packing serializes items at or above its heavy
-  /// threshold so they cannot OOM each other.
-  uint64_t RssHintKiB = 0;
 };
 
 /// Failure taxonomy of one batch item (docs/ROBUSTNESS.md).
@@ -51,13 +48,16 @@ enum class BatchOutcome {
   Degraded,   ///< Budget tripped; result is sound but coarse (usable).
   BuildError, ///< The source did not build.
   Timeout,    ///< Analyzer time limit, or the isolation kill limit.
-  Oom,        ///< Isolated child exceeded its hard memory cap.
-  Crash,      ///< Isolated child died on a signal or unexpected exit.
+  Oom,        ///< Shard worker exited with OomExitCode.
+  Crash,      ///< Shard worker died on a signal, or its frame tore.
   Stalled,    ///< Watchdog: fixpoint heartbeats stopped (a hang with a
               ///< diagnosis, unlike Timeout's bare kill at the limit).
 };
 
 const char *batchOutcomeName(BatchOutcome O);
+
+/// "vanilla" / "base" / "sparse": the engine column of bench records.
+const char *batchEngineName(EngineKind E);
 
 /// Outcome of one batch item (deterministic: independent of Jobs).
 struct BatchItemResult {
@@ -74,23 +74,25 @@ struct BatchItemResult {
   bool Retried = false;
   unsigned Checks = 0;      ///< Dereferences checked (with Check).
   unsigned Alarms = 0;      ///< Checker alarms (with Check).
-  /// Wall time summed over this item's attempts (first pass + retry).
+  /// Wall time summed over this item's attempts (first attempt + retry).
   double Seconds = 0;
-  uint64_t PeakRssKiB = 0;  ///< Child's peak RSS (isolated runs only).
-  /// Cooperative budget steps the (first-pass) run consumed — the
-  /// per-item cost signal the retry pass sorts on.  0 when the run had
-  /// no budget or died before reporting (e.g. a crashed child).
+  /// High-water RSS of the shard worker that ran the item, measured when
+  /// the item ended (sharded runs only; earlier items of the same worker
+  /// count too).
+  uint64_t PeakRssKiB = 0;
+  /// Cooperative budget steps the adopted run consumed.  0 when the run
+  /// had no budget or died before reporting (e.g. a crashed worker).
   uint64_t BudgetSteps = 0;
   /// Ledger totals of the adopted run's main fixpoint (the per-item cost
   /// rollup batch --ledger-out reports).  All zero with -DSPA_OBS=OFF or
-  /// when the item produced no run (build error, crashed child).
+  /// when the item produced no run (build error, crashed worker).
   uint64_t LedgerVisits = 0;
   uint64_t LedgerWidenings = 0;
   uint64_t LedgerGrowth = 0;
   uint64_t LedgerTimeMicros = 0;
-  /// Human rendering of the postmortem summary a dying isolated child
-  /// shipped over the result pipe ("stall in partition 3, worklist depth
-  /// 17, ..."); empty when the child died silently or completed.
+  /// Human rendering of the postmortem summary a dying shard worker
+  /// shipped over its result pipe ("stall in partition 3, worklist depth
+  /// 17, ..."); empty when the worker died silently or completed.
   std::string CrashNote;
   /// A postmortem summary arrived for this item (CrashNote is set, and
   /// with a postmortem directory configured a .pm.json file exists).
@@ -102,45 +104,23 @@ struct BatchOptions {
   /// Also run the buffer-overrun checker per program (forces the
   /// no-bypass graph the checker needs).
   bool Check = false;
-  /// Fault isolation: fork one child per program so a crash, OOM kill,
-  /// or hang loses only that item, never the rest of the batch.
-  bool Isolate = false;
-  /// Hard wall-clock kill limit per isolated child, in seconds.  0
-  /// derives 4 * max(Budget.DeadlineSec, TimeLimitSec) + 1 when either
-  /// is set (a cooperative deadline that far overdue means the child is
+  /// Hard wall-clock kill limit per item in a shard worker, in seconds.
+  /// 0 derives 4 * max(Budget.DeadlineSec, TimeLimitSec) + 1 when either
+  /// is set (a cooperative deadline that far overdue means the worker is
   /// stuck); unlimited when neither is.
   double KillLimitSec = 0;
-  /// Hard address-space cap per isolated child (KiB; 0 = none).  Unlike
-  /// Budget.MemLimitKiB this is enforced by the kernel: blowing it is an
-  /// Oom outcome, not a graceful degradation.
-  uint64_t HardMemLimitKiB = 0;
-  /// Stall watchdog interval for isolated children, in milliseconds
-  /// (0 = no watchdog).  A child whose fixpoint stops heartbeating for
-  /// two consecutive intervals is killed with a stall postmortem and
+  /// Stall watchdog interval for shard workers, in milliseconds (0 = no
+  /// watchdog).  A worker whose fixpoint stops heartbeating for two
+  /// consecutive intervals dies with a stall postmortem and its item is
   /// classified Stalled instead of waiting for the kill limit.
   uint32_t WatchdogMs = 0;
   /// Directory for per-item crash/stall/OOM postmortem files
   /// (`<dir>/<item-name>.pm.json`, schema spa-postmortem-v1).  Empty =
   /// no files; pipe summaries still flow back to the parent.
   std::string PostmortemDir;
-  /// Isolated children receive a serialized IR snapshot over a memfd
-  /// instead of rebuilding from source: the parent parses and lowers each
-  /// program exactly once (first pass and retry share the bytes), and the
-  /// child only runs the strict snapshot loader.  Off = the pre-snapshot
-  /// behavior, kept for the fork-with-rebuild bench ablation
-  /// (snapshot_speedup in BENCH_pipeline.json).
-  bool UseSnapshots = true;
-  /// Memory-aware retry serialization (KiB; 0 = off): retryable items
-  /// whose first attempt peaked at or above this RSS rerun sequentially
-  /// before the parallel retry pass, so two memory-heavy retries can
-  /// never OOM each other.
-  uint64_t SerializeRetryRssKiB = 0;
-  /// Retry a Timeout/Oom/Crash/Stalled item once with a tightened budget
-  /// (halved deadline and step limit; a step limit is imposed if there
-  /// was none) and adopt the retry result when it is usable.  Retries
-  /// run as a dedicated second pass over the pool, ordered by the
-  /// first pass's per-item BudgetSteps descending, so the heaviest
-  /// retries start first instead of straggling at the batch tail.
+  /// The one retry rule: an item that ends Timeout/Oom/Crash/Stalled is
+  /// retried once at lowerTierOptions, and the retry is adopted when it
+  /// is usable (retryable / adoptRetry below).
   bool RetryAtLowerTier = true;
 };
 
@@ -164,12 +144,42 @@ int exitCodeFor(const BatchResult &R);
 /// The retry tier: \p A with a tightened budget (halved deadline and
 /// step limit; a step limit imposed if there was none) that forces early
 /// sound degradation instead of repeating whatever exhausted the first
-/// attempt.  Shared by the batch retry pass and the shard coordinator.
+/// attempt.
 AnalyzerOptions lowerTierOptions(const AnalyzerOptions &A);
 
-/// Analyzes every item, fanning programs out over Analyzer.Jobs pool
-/// lanes, and appends one "batch" bench record (SPA_BENCH_JSON) with the
-/// batch.* gauges.
+/// Outcomes the retry rule retries: Timeout, Oom, Crash, Stalled.  Build
+/// errors are deterministic and never retried.
+bool retryable(BatchOutcome O);
+
+/// Folds the lower-tier \p Retry into \p R, the first attempt's result:
+/// a usable retry is adopted, a failed one keeps the first
+/// classification (a deterministic fault re-fires, so taxonomy counts
+/// stay equal to the injected faults).  Either way R is marked Retried
+/// and its wall time spans both attempts.
+void adoptRetry(BatchItemResult &R, BatchItemResult Retry);
+
+/// The one item runner of in-process lanes and shard workers: builds the
+/// program (from \p Snapshot when given, else from the item's snapshot
+/// file or source), analyzes it with \p A, runs the checker when
+/// Opts.Check, and classifies the outcome.  Name and Seconds are set;
+/// PeakRssKiB is left to the caller.  The "build" and "check" fault
+/// checkpoints (support/Fault.h) sit inside; they fire only under a
+/// FaultScope, which only shard workers arm.
+BatchItemResult runBatchItem(const BatchItem &Item,
+                             const std::vector<uint8_t> *Snapshot,
+                             const BatchOptions &Opts,
+                             const AnalyzerOptions &A);
+
+/// Zeroes the per-run gauges (whichever item's run wrote them last) and
+/// sets the batch-scoped ones — batch.programs, batch.failed,
+/// batch.degraded, batch.failures.*, ... — from \p R run on \p Lanes
+/// lanes.  Counters and histograms keep accumulating.
+void publishBatchGauges(const BatchResult &R, unsigned Lanes);
+
+/// Analyzes every item in process, fanning programs out over
+/// Analyzer.Jobs pool lanes, and appends one "batch" bench record
+/// (SPA_BENCH_JSON) with the batch.* gauges.  Fault isolation is
+/// runSharded's job (workload/ShardCoordinator.h).
 BatchResult runBatch(const std::vector<BatchItem> &Items,
                      const BatchOptions &Opts);
 

@@ -6,17 +6,19 @@
 
 #include "workload/ShardCoordinator.h"
 
-#include "core/Checker.h"
 #include "ir/Builder.h"
 #include "ir/Snapshot.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "obs/MetricsSink.h"
+#include "obs/Postmortem.h"
 #include "obs/Trace.h"
 #include "support/Fault.h"
 #include "support/Resource.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -24,6 +26,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -187,61 +190,34 @@ bool readAll(int Fd, uint8_t *Data, size_t Size) {
   return true;
 }
 
+/// Hard wall-clock limit of one attempt run with \p A (0 = none): the
+/// explicit KillLimitSec, else four times the cooperative deadline or
+/// time limit plus a second — a run that far overdue is stuck.
+double killLimitSec(const BatchOptions &Opts, const AnalyzerOptions &A) {
+  if (Opts.KillLimitSec > 0)
+    return Opts.KillLimitSec;
+  double D = std::max({A.Budget.DeadlineSec, A.TimeLimitSec, 0.0});
+  return D > 0 ? 4 * D + 1 : 0;
+}
+
 //===----------------------------------------------------------------------===//
 // Worker side
 //===----------------------------------------------------------------------===//
 
-/// One item inside a shard worker: strict-load the inherited snapshot,
-/// analyze, check, classify.  Mirrors the batch's in-process attempt,
-/// with the loader standing where the frontend stood.
-void runSnapshotItem(const std::vector<uint8_t> &Snap,
-                     const BatchOptions &Opts, const AnalyzerOptions &AOpts,
-                     BatchItemResult &R) {
-  SnapshotLoadResult L = loadSnapshot(Snap);
-  if (!L.ok()) {
-    R.Error = L.Error.str();
-    R.Outcome = BatchOutcome::BuildError;
-    return;
-  }
-  AnalysisRun Run = analyzeProgram(*L.Prog, AOpts);
-  R.TimedOut = Run.timedOut();
-  R.Degraded = Run.degraded();
-  R.BudgetSteps = Run.BudgetSteps;
-  if (Run.Ledger) {
-    obs::PointCost T = Run.Ledger->totals();
-    R.LedgerVisits = T.Visits;
-    R.LedgerWidenings = T.Widenings;
-    R.LedgerGrowth = T.Growth;
-    R.LedgerTimeMicros = T.TimeMicros;
-  }
-  if (Opts.Check && !R.TimedOut) {
-    CheckerSummary S = checkBufferOverruns(*L.Prog, Run);
-    R.Checks = static_cast<unsigned>(S.Checks.size());
-    R.Alarms = S.numAlarms();
-  }
-  if (R.TimedOut) {
-    R.Outcome = BatchOutcome::Timeout;
-    return;
-  }
-  R.Outcome = R.Degraded ? BatchOutcome::Degraded : BatchOutcome::Ok;
-  R.Ok = true;
-}
+/// What every worker inherits from the parent when it is forked.
+struct WorkerContext {
+  const std::vector<BatchItem> &Items;
+  const std::vector<std::vector<uint8_t>> &Snaps; ///< Built before forking.
+  const BatchOptions &Opts;
+  AnalyzerOptions Tiers[2]; ///< First attempt, lowerTierOptions retry.
+  FaultPlan Plan;
+};
 
-/// The worker main loop: pull a dispatch frame, run the item, push the
-/// result frame, repeat until shutdown.  Never returns.
-[[noreturn]] void workerLoop(unsigned Shard, int DispatchFd, int ResultFd,
-                             const std::vector<std::vector<uint8_t>> &Snaps,
-                             const std::vector<std::string> &Names,
-                             const BatchOptions &Opts,
-                             const AnalyzerOptions &AOpts,
-                             const FaultPlan &Plan) {
-  // The fault plan arms for the worker's whole life under the shard's
-  // name, so SPA_FAULT=crash@shardloop:shard0 kills exactly worker 0 —
-  // the reassignment tests' deterministic murder weapon.
-  FaultScope Scope(Plan, "shard" + std::to_string(Shard));
-  AnalyzerOptions WA = AOpts;
-  WA.Jobs = 1; // One lane per worker; parallelism is the worker count.
-  AnalyzerOptions Lower = lowerTierOptions(WA);
+/// The worker main loop: pull a dispatch frame, run the item under its
+/// own forensics, push the result frame, repeat until shutdown.  Never
+/// returns.
+[[noreturn]] void workerLoop(int DispatchFd, int ResultFd,
+                             const WorkerContext &Ctx) {
   for (;;) {
     uint8_t Frame[DispatchFrameBytes];
     if (!readAll(DispatchFd, Frame, sizeof(Frame)))
@@ -256,23 +232,38 @@ void runSnapshotItem(const std::vector<uint8_t> &Snap,
       ParentSpan |= static_cast<uint64_t>(Frame[8 + I]) << (8 * I);
     if (Index == ShutdownIndex)
       _exit(0);
-    maybeInjectFault("shardloop");
-    if (Index >= Snaps.size())
-      _exit(1); // Protocol violation; die loudly, parent reassigns.
+    if (Index >= Ctx.Items.size() || Tier > 1)
+      _exit(1); // Protocol violation; die loudly.
+    const BatchItem &Item = Ctx.Items[Index];
     BatchItemResult R;
-    R.Name = Names[Index];
-    obs::Tracer::global().setProcessParent(ParentSpan);
-    std::vector<uint8_t> SpanBuf;
-    Timer ItemClock;
     {
-      // The worker's analysis spans (phases, per-procedure dep builds,
-      // fixpoint) nest under this item-root span, which itself parents
-      // to the coordinator's dispatch span from the frame.
-      SPA_OBS_TRACE("shard.analyze:" + R.Name);
-      runSnapshotItem(Snaps[Index], Opts, Tier ? Lower : WA, R);
+      // Per-item forensics: the fault plan arms under the item's name
+      // (so SPA_FAULT name filters select items, never workers), and a
+      // death from here on ships a postmortem summary over the result
+      // pipe ahead of the EOF the parent classifies.
+      FaultScope Scope(Ctx.Plan, Item.Name);
+      obs::PostmortemOptions PO;
+      PO.Dir = Ctx.Opts.PostmortemDir.empty() ? nullptr
+                                              : Ctx.Opts.PostmortemDir.c_str();
+      PO.RunId = Item.Name.c_str();
+      PO.PipeFd = ResultFd;
+      obs::postmortemInstall(PO);
+      obs::watchdogStart(Ctx.Opts.WatchdogMs);
+      maybeInjectFault("shardloop");
+      obs::Tracer::global().setProcessParent(ParentSpan);
+      {
+        // The worker's analysis spans (phases, per-procedure dep builds,
+        // fixpoint) nest under this item-root span, which itself parents
+        // to the coordinator's dispatch span from the frame.
+        SPA_OBS_TRACE("shard.analyze:" + Item.Name);
+        R = runBatchItem(Item, &Ctx.Snaps[Index], Ctx.Opts, Ctx.Tiers[Tier]);
+      }
+      // A clean finish tears the forensics down, so the pre-opened
+      // postmortem file is unlinked rather than left as a false positive.
+      obs::postmortemUninstall();
     }
-    R.Seconds = ItemClock.seconds();
     R.PeakRssKiB = currentPeakRssKiB();
+    std::vector<uint8_t> SpanBuf;
     if (obs::Tracer::global().enabled())
       SpanBuf = obs::Tracer::global().drainSerialized(MaxResultSpanBytes);
     std::vector<uint8_t> Payload = encodeResult(Index, R, SpanBuf);
@@ -289,28 +280,48 @@ void runSnapshotItem(const std::vector<uint8_t> &Snap,
 //===----------------------------------------------------------------------===//
 
 struct WorkerHandle {
-  pid_t Pid = -1;
+  pid_t Pid = -1;      ///< -1 = no live worker in this lane.
   int DispatchFd = -1; ///< Parent writes dispatch frames here.
   int ResultFd = -1;   ///< Parent reads result frames here.
-  bool Alive = false;
-  bool ShutdownSent = false;
   int Item = -1;       ///< In-flight item index (-1 = idle).
   uint32_t Tier = 0;
-  uint64_t SpanId = 0;     ///< Dispatch span of the in-flight item.
-  double DispatchTs = 0;   ///< obsNowMicros at dispatch (span start).
-  std::vector<uint8_t> Buf; ///< Partial result frame accumulator.
+  double DispatchSeconds = 0; ///< Batch clock at dispatch.
+  double KillAt = 0;          ///< Batch-clock kill deadline (0 = none).
+  uint64_t SpanId = 0;        ///< Dispatch span of the in-flight item.
+  double DispatchTs = 0;      ///< obsNowMicros at dispatch (span start).
+  std::vector<uint8_t> Buf;   ///< Partial result frame accumulator.
+  obs::PostmortemSummary Note; ///< Shipped by a dying worker.
+  bool HasNote = false;
 };
 
-const char *shardEngineName(EngineKind E) {
-  switch (E) {
-  case EngineKind::Vanilla:
-    return "vanilla";
-  case EngineKind::Base:
-    return "base";
-  case EngineKind::Sparse:
-    return "sparse";
+/// The death rule's taxonomy: classifies the item a worker held from how
+/// the worker ended (\p Status from waitpid), folding in the postmortem
+/// summary the worker shipped before dying, if any.
+void classifyDeath(BatchItemResult &R, int Status, bool KilledAtLimit) {
+  if (KilledAtLimit) {
+    R.TimedOut = true;
+    R.Outcome = BatchOutcome::Timeout;
+    R.Error = "killed at the isolation kill limit";
+  } else if (WIFEXITED(Status) && WEXITSTATUS(Status) == OomExitCode) {
+    R.Outcome = BatchOutcome::Oom;
+    R.Error = "out of memory (isolated child)";
+  } else if (WIFEXITED(Status) && WEXITSTATUS(Status) == obs::StallExitCode) {
+    // The worker's watchdog diagnosed a heartbeat-dead fixpoint and shot
+    // the process — a hang with forensics, not a timeout.
+    R.Outcome = BatchOutcome::Stalled;
+    R.Error = "fixpoint stalled (watchdog)";
+  } else if (WIFSIGNALED(Status)) {
+    R.Outcome = BatchOutcome::Crash;
+    R.Error = "child killed by signal " + std::to_string(WTERMSIG(Status));
+  } else {
+    R.Outcome = BatchOutcome::Crash;
+    R.Error = "child exited with status " +
+              std::to_string(WIFEXITED(Status) ? WEXITSTATUS(Status) : -1);
   }
-  return "unknown";
+  // Folds the shipped postmortem into the failure text, so `--batch`
+  // output answers "why did this run die" without opening the .pm.json.
+  if (R.HasPostmortem && !R.CrashNote.empty())
+    R.Error += "; postmortem: " + R.CrashNote;
 }
 
 } // namespace
@@ -330,7 +341,6 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
     AOpts.Dep.Bypass = false; // The checker reads input buffers.
   unsigned NumWorkers = std::max(1u, Opts.Shards);
   NumWorkers = std::min<unsigned>(NumWorkers, Items.size());
-  FaultPlan Plan = FaultPlan::fromEnv();
   Timer Clock;
 
   // Root span of the sharded run: dispatch/steal spans parent here, and
@@ -342,15 +352,13 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
 
   // Phase 1: serialize every program once, in parallel, before any fork —
   // the workers inherit the bytes copy-on-write, so "shipping" an item is
-  // an 8-byte index frame.  Parent-side build failures classify here and
-  // never enter the queue.
+  // a 16-byte dispatch frame.  Parent-side build failures classify here
+  // and never enter the queue.
   std::vector<std::vector<uint8_t>> Snaps(Items.size());
-  std::vector<std::string> Names(Items.size());
   std::vector<uint8_t> BuildFailed(Items.size(), 0);
   unsigned PoolJobs = AOpts.Jobs ? AOpts.Jobs : ThreadPool::defaultJobs();
   ThreadPool::global().parallelFor(Items.size(), PoolJobs, [&](size_t I) {
     SPA_OBS_TRACE("shard.serialize:" + Items[I].Name);
-    Names[I] = Items[I].Name;
     const BatchItem &It = Items[I];
     if (!It.SnapshotPath.empty()) {
       // Raw, unvalidated: the worker's strict loader is the boundary and
@@ -376,44 +384,55 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
     Snaps[I] = saveSnapshot(*Built.Prog);
   });
 
-  // Phase 2: fork the workers.
+  WorkerContext Ctx{Items, Snaps, Opts.Batch, {AOpts, AOpts},
+                    FaultPlan::fromEnv()};
+  Ctx.Tiers[0].Jobs = 1; // One lane per worker; parallelism is the count.
+  Ctx.Tiers[1] = lowerTierOptions(Ctx.Tiers[0]);
+  const double KillLimit[2] = {killLimitSec(Opts.Batch, Ctx.Tiers[0]),
+                               killLimitSec(Opts.Batch, Ctx.Tiers[1])};
+
+  // Phase 2: fork the workers.  Spawn also replaces a dead worker, so it
+  // closes every other lane's pipe ends in the child.
   std::vector<WorkerHandle> Workers(NumWorkers);
-  for (unsigned W = 0; W < NumWorkers; ++W) {
+  auto Spawn = [&](unsigned W) {
     int Dispatch[2], Res[2];
-    if (pipe(Dispatch) != 0 || pipe(Res) != 0) {
-      // Out of fds: run with however many workers we managed.
-      NumWorkers = W;
-      Workers.resize(NumWorkers);
-      break;
+    if (pipe(Dispatch) != 0)
+      return;
+    if (pipe(Res) != 0) {
+      close(Dispatch[0]);
+      close(Dispatch[1]);
+      return;
     }
     pid_t Pid = fork();
     if (Pid == 0) {
-      // Child: keep only this worker's two pipe ends.
       close(Dispatch[1]);
       close(Res[0]);
-      for (unsigned P = 0; P < W; ++P) {
-        close(Workers[P].DispatchFd);
-        close(Workers[P].ResultFd);
-      }
+      for (const WorkerHandle &Other : Workers)
+        if (Other.Pid > 0) {
+          close(Other.DispatchFd);
+          close(Other.ResultFd);
+        }
       obs::journalResetForChild();
       // Span hygiene after fork: drop the parent's buffered spans; the
       // per-item process parent arrives in each dispatch frame.
       obs::Tracer::global().resetForChild(RunSpanId);
-      workerLoop(W, Dispatch[0], Res[1], Snaps, Names, Opts.Batch, AOpts,
-                 Plan);
+      workerLoop(Dispatch[0], Res[1], Ctx);
     }
     close(Dispatch[0]);
     close(Res[1]);
-    Workers[W].Pid = Pid;
-    Workers[W].DispatchFd = Dispatch[1];
-    Workers[W].ResultFd = Res[0];
-    Workers[W].Alive = Pid > 0;
     if (Pid < 0) {
       close(Dispatch[1]);
       close(Res[0]);
-      Workers[W].DispatchFd = Workers[W].ResultFd = -1;
+      return;
     }
-  }
+    WorkerHandle &H = Workers[W];
+    H = WorkerHandle();
+    H.Pid = Pid;
+    H.DispatchFd = Dispatch[1];
+    H.ResultFd = Res[0];
+  };
+  for (unsigned W = 0; W < NumWorkers; ++W)
+    Spawn(W);
 
   // A dead worker's dispatch pipe raises SIGPIPE on write; we want the
   // EPIPE errno instead, handled as a death.
@@ -426,225 +445,244 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
   for (uint32_t I = 0; I < Items.size(); ++I)
     if (!BuildFailed[I])
       Queue.emplace_back(I, 0);
-  size_t Outstanding = 0;
-  bool HeavyInFlight = false;
-  unsigned Reassigned = 0;
-  uint64_t HeavyCount = 0;
-  // First BatchItemResult of an item whose retry is pending: kept so a
-  // failed retry restores the original classification (same contract as
-  // runBatch's retry pass).
+  // First attempt of an item whose retry is pending, kept so a failed
+  // retry restores the original classification (adoptRetry).
   std::vector<std::optional<BatchItemResult>> FirstTry(Items.size());
 
-  auto IsHeavy = [&](uint32_t I) {
-    return Opts.HeavyRssKiB && Items[I].RssHintKiB >= Opts.HeavyRssKiB;
-  };
   auto HomeShard = [&](uint32_t I) {
     return static_cast<unsigned>(static_cast<uint64_t>(I) * NumWorkers /
                                  Items.size());
   };
-  auto Retryable = [](BatchOutcome O) {
-    return O == BatchOutcome::Timeout || O == BatchOutcome::Oom ||
-           O == BatchOutcome::Crash || O == BatchOutcome::Stalled;
-  };
 
-  auto MarkDead = [&](WorkerHandle &W) {
-    if (!W.Alive)
-      return;
-    W.Alive = false;
-    bool Unexpected = !W.ShutdownSent;
-    if (Unexpected)
-      ++Result.WorkerDeaths;
-    SPA_OBS_JOURNAL(ShardWorkerExit, static_cast<unsigned>(&W - &Workers[0]),
-                    Unexpected ? 1 : 0);
-    close(W.DispatchFd);
-    close(W.ResultFd);
-    W.DispatchFd = W.ResultFd = -1;
-    if (W.Pid > 0)
-      waitpid(W.Pid, nullptr, 0);
-    if (W.Item >= 0) {
-      uint32_t I = static_cast<uint32_t>(W.Item);
-      --Outstanding;
-      if (IsHeavy(I))
-        HeavyInFlight = false;
-      if (Result.Timing[I].Assignments < NumWorkers) {
-        // Front of the queue: a reassigned item has already waited once.
-        Queue.emplace_front(I, W.Tier);
-        ++Reassigned;
-      } else {
-        BatchItemResult &R = Result.Batch.Items[I];
-        R.Outcome = BatchOutcome::Crash;
-        R.Ok = false;
-        R.Error = "shard worker died (" +
-                  std::to_string(Result.Timing[I].Assignments) +
-                  " assignments)";
-      }
-      W.Item = -1;
-    }
-  };
-
-  auto TryDispatch = [&](unsigned WIdx) {
-    WorkerHandle &W = Workers[WIdx];
-    if (!W.Alive || W.Item >= 0)
-      return;
-    // Pull the first dispatchable item: heavy items wait for the single
-    // heavy token, everything else goes in queue order.
-    for (auto It = Queue.begin(); It != Queue.end(); ++It) {
-      uint32_t I = It->first, Tier = It->second;
-      if (IsHeavy(I) && HeavyInFlight)
-        continue;
-      Queue.erase(It);
-      uint64_t Span = obs::Tracer::global().enabled()
-                          ? obs::Tracer::global().allocSpanId()
-                          : 0;
-      uint8_t Frame[DispatchFrameBytes];
-      for (int K = 0; K < 4; ++K) {
-        Frame[K] = static_cast<uint8_t>(I >> (8 * K));
-        Frame[4 + K] = static_cast<uint8_t>(Tier >> (8 * K));
-      }
-      for (int K = 0; K < 8; ++K)
-        Frame[8 + K] = static_cast<uint8_t>(Span >> (8 * K));
-      if (!writeAll(W.DispatchFd, Frame, sizeof(Frame))) {
-        Queue.emplace_front(I, Tier);
-        MarkDead(W);
-        return;
-      }
-      W.Item = static_cast<int>(I);
-      W.Tier = Tier;
-      W.SpanId = Span;
-      W.DispatchTs = obs::obsNowMicros();
-      ++Outstanding;
-      if (IsHeavy(I)) {
-        HeavyInFlight = true;
-        ++HeavyCount;
-      }
-      Result.Timing[I].DispatchSeconds = Clock.seconds();
-      Result.Timing[I].Assignments += 1;
-      SPA_OBS_JOURNAL(ShardDispatch, I, WIdx);
+  // The one retry rule, for results from frames and deaths alike.
+  auto Finish = [&](uint32_t I, uint32_t Tier, BatchItemResult R) {
+    if (Tier == 0 && Opts.Batch.RetryAtLowerTier && retryable(R.Outcome)) {
+      SPA_OBS_COUNT("batch.retries", 1);
+      FirstTry[I] = std::move(R);
+      Queue.emplace_back(I, 1); // Back of the queue: the batch drains.
       return;
     }
+    if (FirstTry[I]) {
+      BatchItemResult First = std::move(*FirstTry[I]);
+      FirstTry[I].reset();
+      adoptRetry(First, std::move(R));
+      R = std::move(First);
+    }
+    R.Name = Items[I].Name;
+    Result.Batch.Items[I] = std::move(R);
   };
 
-  auto OnResult = [&](unsigned WIdx, uint32_t Index, BatchItemResult &&R) {
+  // Ends W's in-flight attempt on the parent clock and closes its
+  // dispatch span; returns the item index.
+  auto EndAttempt = [&](unsigned WIdx) {
     WorkerHandle &W = Workers[WIdx];
-    if (Index >= Items.size() || W.Item != static_cast<int>(Index))
-      return; // Stale or corrupt frame; the poll loop resyncs on EOF.
+    uint32_t I = static_cast<uint32_t>(W.Item);
     W.Item = -1;
-    --Outstanding;
-    if (IsHeavy(Index))
-      HeavyInFlight = false;
-    Result.Timing[Index].DoneSeconds = Clock.seconds();
-    Result.Timing[Index].Shard = WIdx;
-    bool Stolen = HomeShard(Index) != WIdx;
-    if (Stolen)
-      ++Result.Steals;
+    Result.Timing[I].DoneSeconds = Clock.seconds();
+    Result.Timing[I].Shard = WIdx;
     if (W.SpanId != 0) {
-      // Close the coordinator-side dispatch span now that the result is
-      // back; the worker's shard.analyze span nests under it.
+      // The worker's shard.analyze span nests under this one.
       obs::Tracer::global().addSpan(
-          std::string(Stolen ? "shard.steal:" : "shard.dispatch:") +
-              Result.Batch.Items[Index].Name,
+          std::string(HomeShard(I) != WIdx ? "shard.steal:"
+                                           : "shard.dispatch:") +
+              Items[I].Name,
           W.DispatchTs, obs::obsNowMicros() - W.DispatchTs, W.SpanId,
           RunSpanId);
       W.SpanId = 0;
     }
+    return I;
+  };
 
-    BatchItemResult &Slot = Result.Batch.Items[Index];
-    if (W.Tier == 0 && Opts.Batch.RetryAtLowerTier && Retryable(R.Outcome)) {
-      // First attempt failed retryably: bank it and re-enqueue at the
-      // tightened tier (back of the queue; the batch is still draining).
-      SPA_OBS_COUNT("batch.retries", 1);
-      FirstTry[Index] = std::move(R);
-      Queue.emplace_back(Index, 1);
+  // The death rule: reap the worker, classify its in-flight item from the
+  // exit status, apply the retry rule, and fork a replacement so the
+  // lane count holds.
+  auto Retire = [&](unsigned WIdx, bool KilledAtLimit) {
+    WorkerHandle &W = Workers[WIdx];
+    close(W.DispatchFd);
+    close(W.ResultFd);
+    int Status = 0;
+    struct rusage Usage {};
+    wait4(W.Pid, &Status, 0, &Usage);
+    W.Pid = -1;
+    ++Result.WorkerDeaths;
+    SPA_OBS_JOURNAL(ShardWorkerExit, WIdx, 1);
+    if (W.Item < 0)
       return;
+    uint32_t Tier = W.Tier;
+    BatchItemResult R;
+    R.Seconds = Clock.seconds() - W.DispatchSeconds;
+    R.PeakRssKiB = static_cast<uint64_t>(Usage.ru_maxrss);
+    if (W.HasNote) {
+      R.CrashNote = obs::postmortemSummaryText(W.Note);
+      R.HasPostmortem = true;
     }
-    if (FirstTry[Index]) {
-      // This was the retry.  Adopt it when usable, else keep the first
-      // classification; either way the item counts as retried and its
-      // wall time spans both attempts.
-      BatchItemResult First = std::move(*FirstTry[Index]);
-      FirstTry[Index].reset();
-      double Total = First.Seconds + R.Seconds;
-      if (!R.Ok)
-        R = std::move(First);
-      R.Retried = true;
-      R.Seconds = Total;
+    classifyDeath(R, Status, KilledAtLimit);
+    Finish(EndAttempt(WIdx), Tier, std::move(R));
+    Spawn(WIdx);
+  };
+
+  // A complete result frame from W: decode it (torn by an injected reader
+  // fault, when one matches the item), and fail the item when the frame
+  // is malformed — the stream stays in sync, so the worker lives on.
+  auto OnFrame = [&](unsigned WIdx, const uint8_t *Data, size_t Len) {
+    WorkerHandle &W = Workers[WIdx];
+    if (W.Item < 0)
+      return; // Nothing in flight: a stray frame carries no result.
+    uint32_t I = static_cast<uint32_t>(W.Item), Tier = W.Tier;
+    if (Ctx.Plan.parentSide()) {
+      FaultScope Reader(Ctx.Plan, Items[I].Name);
+      if (faultMatches("reader", FaultPlan::Kind::Truncate))
+        Len = 0;
+      else if (faultMatches("reader", FaultPlan::Kind::Partial))
+        Len /= 2;
     }
-    R.Name = Slot.Name;
-    Slot = std::move(R);
+    uint32_t Index = 0;
+    BatchItemResult R;
+    std::vector<uint8_t> SpanBuf;
+    if (decodeResult(Data, Len, Index, R, SpanBuf) && Index == I) {
+      if (!SpanBuf.empty())
+        obs::Tracer::global().ingestSerialized(SpanBuf.data(),
+                                               SpanBuf.size());
+      if (HomeShard(I) != WIdx)
+        ++Result.Steals;
+    } else {
+      R = BatchItemResult();
+      R.Outcome = BatchOutcome::Crash;
+      R.Error = "truncated result payload from child";
+      R.Seconds = Clock.seconds() - W.DispatchSeconds;
+    }
+    Finish(EndAttempt(WIdx), Tier, std::move(R));
+  };
+
+  auto TryDispatch = [&](unsigned WIdx) {
+    WorkerHandle &W = Workers[WIdx];
+    if (W.Pid <= 0 || W.Item >= 0 || Queue.empty())
+      return;
+    auto [I, Tier] = Queue.front();
+    Queue.pop_front();
+    uint64_t Span = obs::Tracer::global().enabled()
+                        ? obs::Tracer::global().allocSpanId()
+                        : 0;
+    uint8_t Frame[DispatchFrameBytes];
+    for (int K = 0; K < 4; ++K) {
+      Frame[K] = static_cast<uint8_t>(I >> (8 * K));
+      Frame[4 + K] = static_cast<uint8_t>(Tier >> (8 * K));
+    }
+    for (int K = 0; K < 8; ++K)
+      Frame[8 + K] = static_cast<uint8_t>(Span >> (8 * K));
+    W.Item = static_cast<int>(I);
+    W.Tier = Tier;
+    W.SpanId = Span;
+    W.DispatchTs = obs::obsNowMicros();
+    W.DispatchSeconds = Clock.seconds();
+    W.KillAt = KillLimit[Tier] > 0 ? W.DispatchSeconds + KillLimit[Tier] : 0;
+    W.HasNote = false;
+    Result.Timing[I].DispatchSeconds = W.DispatchSeconds;
+    Result.Timing[I].Assignments += 1;
+    SPA_OBS_JOURNAL(ShardDispatch, I, WIdx);
+    if (!writeAll(W.DispatchFd, Frame, sizeof(Frame)))
+      Retire(WIdx, /*KilledAtLimit=*/false); // Died holding I.
   };
 
   for (;;) {
-    unsigned AliveCount = 0;
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      if (Workers[W].Alive) {
-        ++AliveCount;
-        TryDispatch(W);
-      }
-    if (Outstanding == 0 && Queue.empty())
+    unsigned Alive = 0, Busy = 0;
+    for (unsigned W = 0; W < NumWorkers; ++W) {
+      TryDispatch(W);
+      Alive += Workers[W].Pid > 0;
+      Busy += Workers[W].Pid > 0 && Workers[W].Item >= 0;
+    }
+    if (Busy == 0 && Queue.empty())
       break;
-    if (AliveCount == 0) {
-      // Every worker is gone with work still pending: classify the
-      // leftovers so the caller sees failures, not silence.
+    if (Alive == 0) {
+      // Every lane is gone (fork failed) with work still pending:
+      // classify the leftovers so the caller sees failures, not silence.
       for (auto &[I, Tier] : Queue) {
         (void)Tier;
-        BatchItemResult &R = Result.Batch.Items[I];
+        BatchItemResult R;
+        R.Outcome = BatchOutcome::Crash;
+        R.Error = "no shard workers left";
         if (FirstTry[I]) {
           R = std::move(*FirstTry[I]);
           R.Retried = true;
-        } else if (R.Outcome == BatchOutcome::BuildError) {
-          // Keep the parent-side classification.
-        } else {
-          R.Outcome = BatchOutcome::Crash;
-          R.Error = "no shard workers left";
         }
+        R.Name = Items[I].Name;
+        Result.Batch.Items[I] = std::move(R);
       }
       Queue.clear();
       break;
     }
 
+    // Sleep until a frame, a death (EOF), or the nearest kill deadline.
     std::vector<pollfd> Fds;
     std::vector<unsigned> FdWorker;
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      if (Workers[W].Alive) {
-        Fds.push_back({Workers[W].ResultFd, POLLIN, 0});
-        FdWorker.push_back(W);
+    double Now = Clock.seconds();
+    int TimeoutMs = -1;
+    for (unsigned W = 0; W < NumWorkers; ++W) {
+      const WorkerHandle &H = Workers[W];
+      if (H.Pid <= 0)
+        continue;
+      Fds.push_back({H.ResultFd, POLLIN, 0});
+      FdWorker.push_back(W);
+      if (H.Item >= 0 && H.KillAt > 0) {
+        int Ms = static_cast<int>(std::ceil((H.KillAt - Now) * 1000));
+        TimeoutMs = TimeoutMs < 0 ? std::max(Ms, 0)
+                                  : std::min(TimeoutMs, std::max(Ms, 0));
       }
-    int N = poll(Fds.data(), Fds.size(), 1000);
-    if (N <= 0)
-      continue;
-    for (size_t F = 0; F < Fds.size(); ++F) {
+    }
+    int N = poll(Fds.data(), Fds.size(), TimeoutMs);
+    for (size_t F = 0; N > 0 && F < Fds.size(); ++F) {
       if (!(Fds[F].revents & (POLLIN | POLLHUP | POLLERR)))
         continue;
-      WorkerHandle &W = Workers[FdWorker[F]];
+      unsigned WIdx = FdWorker[F];
+      WorkerHandle &W = Workers[WIdx];
       uint8_t Chunk[1 << 16];
       ssize_t Got = read(W.ResultFd, Chunk, sizeof(Chunk));
+      if (Got < 0 && errno == EINTR)
+        continue;
       if (Got <= 0) {
-        if (Got < 0 && errno == EINTR)
-          continue;
-        MarkDead(W);
+        Retire(WIdx, /*KilledAtLimit=*/false);
         continue;
       }
       W.Buf.insert(W.Buf.end(), Chunk, Chunk + Got);
-      while (W.Buf.size() >= 4) {
+      size_t Pos = 0;
+      bool Retired = false; // W may now be a fresh replacement.
+      while (W.Buf.size() - Pos >= 4) {
         uint32_t Len = 0;
         for (int K = 0; K < 4; ++K)
-          Len |= static_cast<uint32_t>(W.Buf[K]) << (8 * K);
+          Len |= static_cast<uint32_t>(W.Buf[Pos + K]) << (8 * K);
+        if (Len == obs::PostmortemPipeMagic) {
+          // A dying worker's postmortem summary; its EOF follows.
+          if (W.Buf.size() - Pos < 4 + sizeof(W.Note))
+            break;
+          std::memcpy(&W.Note, W.Buf.data() + Pos + 4, sizeof(W.Note));
+          W.HasNote = true;
+          Pos += 4 + sizeof(W.Note);
+          continue;
+        }
         if (Len > MaxFrameBytes) {
-          MarkDead(W); // Protocol violation: resync by reassignment.
+          // The stream cannot be resynced: treat the worker as dead.
+          kill(W.Pid, SIGKILL);
+          Retire(WIdx, /*KilledAtLimit=*/false);
+          Retired = true;
           break;
         }
-        if (W.Buf.size() < 4 + static_cast<size_t>(Len))
+        if (W.Buf.size() - Pos < 4 + static_cast<size_t>(Len))
           break;
-        uint32_t Index = 0;
-        BatchItemResult R;
-        std::vector<uint8_t> SpanBuf;
-        if (decodeResult(W.Buf.data() + 4, Len, Index, R, SpanBuf)) {
-          if (!SpanBuf.empty())
-            obs::Tracer::global().ingestSerialized(SpanBuf.data(),
-                                                   SpanBuf.size());
-          OnResult(FdWorker[F], Index, std::move(R));
-        }
-        W.Buf.erase(W.Buf.begin(), W.Buf.begin() + 4 + Len);
+        OnFrame(WIdx, W.Buf.data() + Pos + 4, Len);
+        Pos += 4 + Len;
+      }
+      if (!Retired)
+        W.Buf.erase(W.Buf.begin(), W.Buf.begin() + Pos);
+    }
+
+    // Kill-limit enforcement: a result that raced the deadline was
+    // consumed above, so whatever is still in flight here is overdue.
+    Now = Clock.seconds();
+    for (unsigned W = 0; W < NumWorkers; ++W) {
+      WorkerHandle &H = Workers[W];
+      if (H.Pid > 0 && H.Item >= 0 && H.KillAt > 0 && Now >= H.KillAt) {
+        kill(H.Pid, SIGKILL);
+        Retire(W, /*KilledAtLimit=*/true);
       }
     }
   }
@@ -654,32 +692,25 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
   for (int K = 0; K < 4; ++K)
     Bye[K] = static_cast<uint8_t>(ShutdownIndex >> (8 * K));
   for (WorkerHandle &W : Workers) {
-    if (!W.Alive)
+    if (W.Pid <= 0)
       continue;
-    W.ShutdownSent = true;
     writeAll(W.DispatchFd, Bye, sizeof(Bye));
     close(W.DispatchFd);
     close(W.ResultFd);
-    W.DispatchFd = W.ResultFd = -1;
-    if (W.Pid > 0)
-      waitpid(W.Pid, nullptr, 0);
-    W.Alive = false;
+    waitpid(W.Pid, nullptr, 0);
+    W.Pid = -1;
+    SPA_OBS_JOURNAL(ShardWorkerExit, static_cast<unsigned>(&W - &Workers[0]),
+                    0);
   }
   sigaction(SIGPIPE, &OldPipe, nullptr);
   Result.Batch.Seconds = Clock.seconds();
 
-  obs::Registry::global().resetGauges();
-  SPA_OBS_GAUGE_MAX("mem.peak_rss_kib", currentPeakRssKiB());
+  publishBatchGauges(Result.Batch, NumWorkers);
   SPA_OBS_GAUGE_SET("shard.workers", NumWorkers);
   SPA_OBS_GAUGE_SET("shard.items", Items.size());
   SPA_OBS_GAUGE_SET("shard.steals", Result.Steals);
   SPA_OBS_GAUGE_SET("shard.deaths", Result.WorkerDeaths);
-  SPA_OBS_GAUGE_SET("shard.reassigned", Reassigned);
-  SPA_OBS_GAUGE_SET("shard.heavy.serialized", HeavyCount);
-  SPA_OBS_GAUGE_SET("batch.programs", Items.size());
-  SPA_OBS_GAUGE_SET("batch.failed", Result.Batch.numFailed());
-  SPA_OBS_GAUGE_SET("batch.seconds", Result.Batch.Seconds);
-  obs::MetricsSink::appendBenchRecord("shard", shardEngineName(AOpts.Engine),
+  obs::MetricsSink::appendBenchRecord("shard", batchEngineName(AOpts.Engine),
                                       Result.Batch.numFailed() == 0);
   return Result;
 }

@@ -5,30 +5,36 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Splits a batch across N forked shard workers with a pull-based
-/// (work-stealing) dispatch protocol over pipes.  The parent serializes
-/// every program to an spa-ir-v1 snapshot once, forks the workers (which
-/// inherit the snapshot bytes copy-on-write), and then plays dealer:
+/// The one executor that forks: splits a batch across N persistent shard
+/// workers with a pull-based (work-stealing) dispatch protocol over
+/// pipes.  `spa-analyze --isolate` is this executor with one worker per
+/// --jobs lane.  The parent serializes every program to an spa-ir-v1
+/// snapshot once, forks the workers (which inherit the snapshot bytes
+/// copy-on-write), and then plays dealer:
 ///
 ///   parent -> worker:  16-byte frame { u32 item index, u32 tier,
 ///                      u64 parent trace-span id }
 ///                      (index 0xFFFFFFFF = shutdown)
 ///   worker -> parent:  length-prefixed result frame
 ///                      { u32 len, payload: u32 index + encoded
-///                        BatchItemResult + serialized trace spans }
+///                        BatchItemResult + serialized trace spans },
+///                      or a postmortem summary tagged by
+///                      PostmortemPipeMagic in place of the length
 ///
 /// Each worker holds exactly one item at a time and asks for the next by
 /// finishing the last, so fast workers drain the shared queue — stealing
 /// items a static contiguous-block split would have pinned to a slow
 /// sibling (the Steals counter measures exactly that displacement).
 ///
-/// A worker that dies (crash, OOM-kill, injected fault) closes its
-/// result pipe; the parent observes EOF, reassigns the in-flight item to
-/// a surviving worker, and classifies it Crash only after every shard
-/// has had a chance (assignment cap = shard count).  Memory-aware
-/// bin-packing rides the same loop: items whose RssHintKiB meets the
-/// heavy threshold take a single "heavy token", so no two of them are
-/// ever in flight together and they cannot OOM each other.
+/// Every item runs under its own forensics inside the worker: the
+/// SPA_FAULT plan armed under the item's name, the postmortem writer,
+/// and the stall watchdog.  The parent SIGKILLs a worker whose item
+/// outlives the kill limit.  The death rule: when a worker dies, the
+/// parent reaps it, classifies the item it held from the exit status
+/// (kill limit -> Timeout, OomExitCode -> Oom, StallExitCode -> Stalled,
+/// a signal -> Crash), applies the retry rule of workload/Batch.h, and
+/// forks a replacement so the lane count holds.  A malformed result
+/// frame fails its item (Crash) and the worker lives on.
 ///
 /// Results land in input-order slots, so the merged BatchResult is
 /// bit-identical (deterministic fields) to a --shards=1 run and to plain
@@ -45,34 +51,31 @@ namespace spa {
 
 struct ShardOptions {
   /// Per-item analysis options; Analyzer.Jobs pins to 1 inside workers
-  /// (each worker is one lane of the process-level pool).  Isolate is
-  /// ignored: the worker process *is* the isolation boundary.
+  /// (each worker is one lane of the process-level pool).
   BatchOptions Batch;
   /// Worker process count (clamped to [1, item count]).
   unsigned Shards = 2;
-  /// Heavy-item threshold (KiB; 0 = off): items with RssHintKiB at or
-  /// above it are serialized through the single heavy token.
-  uint64_t HeavyRssKiB = 0;
 };
 
-/// Dispatch/completion record of one item, in parent batch-clock seconds
-/// (the bin-packing tests prove serialization from disjoint windows).
+/// Dispatch/completion record of one item, in parent batch-clock seconds.
 struct ShardItemTiming {
   double DispatchSeconds = 0; ///< Last dispatch of this item.
-  double DoneSeconds = 0;     ///< Result arrival (0 if never finished).
-  unsigned Shard = 0;         ///< Worker that produced the result.
-  unsigned Assignments = 0;   ///< Dispatch count (>1 = reassigned).
+  double DoneSeconds = 0;     ///< End of the last attempt (0 if never run).
+  unsigned Shard = 0;         ///< Worker lane of the last attempt.
+  unsigned Assignments = 0;   ///< Attempts (2 = retried at the lower tier).
 };
 
 struct ShardRunResult {
   BatchResult Batch;                  ///< Merged, in input order.
   std::vector<ShardItemTiming> Timing; ///< Parallel to Batch.Items.
-  unsigned WorkerDeaths = 0; ///< Workers that died before shutdown.
+  /// Workers that died before shutdown; each one that held an item was
+  /// replaced by a fresh fork.
+  unsigned WorkerDeaths = 0;
   uint64_t Steals = 0; ///< Items executed off their static home shard.
 };
 
-/// Runs \p Items across Opts.Shards forked workers.  Exports the shard.*
-/// gauges and appends a "shard" bench record.
+/// Runs \p Items across Opts.Shards forked workers.  Exports the batch.*
+/// and shard.* gauges and appends a "shard" bench record.
 ShardRunResult runSharded(const std::vector<BatchItem> &Items,
                           const ShardOptions &Opts);
 

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// The fault-isolation contract of docs/ROBUSTNESS.md: injected faults
-/// (SPA_FAULT crash/oom/timeout, armed only inside isolated batch
-/// children) take down exactly the targeted program's subprocess; the
-/// batch completes, classifies the failure in its taxonomy, leaves every
-/// other item's results identical to a clean run, and the process exit
-/// code reflects the worst outcome (0 clean / 3 degraded / 2 failed).
+/// (SPA_FAULT crash/oom/timeout, armed only inside shard workers, around
+/// one item at a time) take down exactly the worker running the targeted
+/// program; the batch completes, classifies the failure in its taxonomy,
+/// leaves every other item's results identical to a clean run, and the
+/// process exit code reflects the worst outcome (0 clean / 3 degraded /
+/// 2 failed).  Isolated runs go through the one executor that forks,
+/// runSharded, with one worker per lane — what `--isolate` runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #include "support/Fault.h"
 #include "workload/Batch.h"
 #include "workload/Generator.h"
+#include "workload/ShardCoordinator.h"
 
 #include <gtest/gtest.h>
 
@@ -57,11 +60,19 @@ BatchOptions isolatedOptions() {
   BatchOptions Opts;
   Opts.Analyzer.Jobs = 2;
   Opts.Check = true;
-  Opts.Isolate = true;
   // Bounds the injected "timeout" fault (which sleeps forever in the
-  // child) without slowing the healthy programs down.
+  // worker) without slowing the healthy programs down.
   Opts.KillLimitSec = 2;
   return Opts;
+}
+
+/// A fault-isolated batch: `--isolate`, i.e. one shard worker per lane.
+BatchResult runIsolated(const std::vector<BatchItem> &Items,
+                        const BatchOptions &Opts) {
+  ShardOptions SOpts;
+  SOpts.Batch = Opts;
+  SOpts.Shards = Opts.Analyzer.Jobs;
+  return runSharded(Items, SOpts).Batch;
 }
 
 void expectSameResults(const BatchItemResult &A, const BatchItemResult &B) {
@@ -125,8 +136,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
 
 TEST(FaultPlan, InjectionIsInertOutsideAFaultScope) {
   FaultEnv Env("crash@fix");
-  // Without a FaultScope (i.e. outside an isolated batch child) the armed
-  // plan must never fire in this process.
+  // Without a FaultScope (i.e. outside a shard worker) the armed plan
+  // must never fire in this process.
   maybeInjectFault("fix");
   SUCCEED();
 }
@@ -140,7 +151,7 @@ protected:
   void SetUp() override {
     unsetenv("SPA_FAULT");
     Items = makeSuite();
-    Clean = runBatch(Items, isolatedOptions());
+    Clean = runIsolated(Items, isolatedOptions());
     ASSERT_EQ(Clean.Items.size(), Items.size());
     ASSERT_EQ(Clean.numFailed(), 0u);
     ASSERT_EQ(exitCodeFor(Clean), 0);
@@ -153,7 +164,7 @@ protected:
   void runInjected(const char *Spec, size_t Victim, BatchOutcome Expected,
                    const char *ErrorSub = nullptr) {
     FaultEnv Env(Spec);
-    BatchResult Faulty = runBatch(Items, isolatedOptions());
+    BatchResult Faulty = runIsolated(Items, isolatedOptions());
     ASSERT_EQ(Faulty.Items.size(), Items.size());
 
     // The batch completed and classified exactly one failure.
@@ -201,17 +212,17 @@ TEST_F(BatchFaultInjection, BuildPhaseCrashLosesOnlyThatItem) {
 }
 
 TEST_F(BatchFaultInjection, TruncatedPipePayloadIsClassifiedAsCrash) {
-  // Parent-side reader fault: the child does its work and exits 0, but
-  // the parent's pipe read sees no length prefix (a torn write).  The
-  // batch must classify the lost item as a crash without wedging on the
-  // pipe, and the other items' results stay intact.
+  // Parent-side reader fault: the worker does its work and ships its
+  // frame, but the parent sees none of the payload (a torn write).  The
+  // batch must classify the lost item as a crash without wedging the
+  // dealer, and the other items' results stay intact.
   runInjected("truncate@reader:prog2", 1, BatchOutcome::Crash,
               "truncated result payload");
 }
 
 TEST_F(BatchFaultInjection, PartialPipePayloadIsClassifiedAsCrash) {
   // Same, but the payload is cut off mid-write: the prefix arrives, half
-  // the doubles do not.
+  // the payload does not.
   runInjected("partial@reader:prog4", 3, BatchOutcome::Crash,
               "truncated result payload");
 }
@@ -227,10 +238,10 @@ TEST_F(BatchFaultInjection, CrashedChildShipsAPostmortem) {
   BatchOptions Opts = isolatedOptions();
   Opts.PostmortemDir = Dir;
   Opts.RetryAtLowerTier = false;
-  BatchResult R = runBatch(Items, Opts);
+  BatchResult R = runIsolated(Items, Opts);
   ASSERT_EQ(R.Items.size(), Items.size());
 
-  // The dying child shipped its diagnosis over the result pipe: the
+  // The dying worker shipped its diagnosis over the result pipe: the
   // victim carries a crash note (abort = SIGABRT) folded into its error.
   const BatchItemResult &V = R.Items[2];
   EXPECT_EQ(V.Outcome, BatchOutcome::Crash) << V.Error;
@@ -288,7 +299,7 @@ TEST_F(BatchFaultInjection, StallIsCaughtByTheWatchdogNotTheKillLimit) {
   Opts.WatchdogMs = 100;
   Opts.KillLimitSec = 30;
   Opts.RetryAtLowerTier = false;
-  BatchResult R = runBatch(Items, Opts);
+  BatchResult R = runIsolated(Items, Opts);
   ASSERT_EQ(R.Items.size(), Items.size());
 
   const BatchItemResult &V = R.Items[0];
@@ -309,13 +320,12 @@ TEST_F(BatchFaultInjection, StallIsCaughtByTheWatchdogNotTheKillLimit) {
 #endif // SPA_OBS_ENABLED
 
 TEST_F(BatchFaultInjection, FaultsNeverEscapeWithoutIsolation) {
-  // The same plan in a non-isolated batch must not fire at all: there is
-  // no FaultScope outside isolated children, so the run is clean.
+  // The same plan in an in-process batch must not fire at all: there is
+  // no FaultScope outside shard workers, so the run is clean.
   FaultEnv Env("crash@fix");
   BatchOptions Opts;
   Opts.Analyzer.Jobs = 2;
   Opts.Check = true;
-  Opts.Isolate = false;
   BatchResult R = runBatch(Items, Opts);
   EXPECT_EQ(R.numFailed(), 0u);
   for (size_t I = 0; I < Items.size(); ++I)
@@ -350,9 +360,8 @@ TEST(BatchExitCodes, IsolatedDegradedBatchAgreesWithInProcess) {
   Opts.Analyzer.Budget.StepLimit = 50;
   Opts.RetryAtLowerTier = false;
   BatchResult InProc = runBatch(Items, Opts);
-  Opts.Isolate = true;
   Opts.KillLimitSec = 10;
-  BatchResult Isolated = runBatch(Items, Opts);
+  BatchResult Isolated = runIsolated(Items, Opts);
   ASSERT_EQ(InProc.Items.size(), Isolated.Items.size());
   for (size_t I = 0; I < Items.size(); ++I)
     expectSameResults(InProc.Items[I], Isolated.Items[I]);
@@ -369,9 +378,8 @@ TEST(BatchExitCodes, RetryAdoptsAUsableLowerTierResult) {
   Items.push_back({"broken", "this is not a program"});
   BatchOptions Opts;
   Opts.Analyzer.Jobs = 2;
-  Opts.Isolate = true;
   Opts.KillLimitSec = 10;
-  BatchResult R = runBatch(Items, Opts);
+  BatchResult R = runIsolated(Items, Opts);
   const BatchItemResult &Broken = R.Items.back();
   EXPECT_EQ(Broken.Outcome, BatchOutcome::BuildError);
   EXPECT_FALSE(Broken.Ok);

@@ -88,9 +88,9 @@ assert m["value.pool.misses"] > 0, "pool has nodes but no misses?"
 EOF
 
 # spa-ir-v1 snapshot pipeline: saving from source and reloading must
-# export the snapshot.* keys and journal events; an isolated batch ships
-# snapshots to its children (batch.snapshot.*); a sharded batch exports
-# the shard.* gauges (docs/OBSERVABILITY.md).
+# export the snapshot.* keys and journal events; an isolated batch runs
+# on the shard workers and, like a sharded one, exports the shard.*
+# gauges (docs/OBSERVABILITY.md).
 "$ANALYZE" --snapshot-out="$WORK/loop.snap" \
   --metrics-out="$WORK/snap-save.json" \
   --journal-out="$WORK/snap-save-journal.json" \
@@ -109,13 +109,30 @@ EXAMPLES_ABS=$(cd "$EXAMPLES" && pwd)
 printf '%s\n' "$EXAMPLES_ABS/loop.spa" "$EXAMPLES_ABS/pointers.spa" \
   > "$WORK/batch.lst"
 "$ANALYZE" --batch="$WORK/batch.lst" --isolate \
-  --metrics-out="$WORK/batch-snap.json" > /dev/null || exit 1
-require_keys "$WORK/batch-snap.json" \
-  batch.snapshot.items batch.snapshot.bytes
+  --metrics-out="$WORK/batch-isolate.json" > /dev/null || exit 1
+require_keys "$WORK/batch-isolate.json" \
+  shard.workers shard.items shard.steals shard.deaths
 "$ANALYZE" --batch="$WORK/batch.lst" --shards=2 \
   --metrics-out="$WORK/shard.json" > /dev/null || exit 1
 require_keys "$WORK/shard.json" \
-  shard.workers shard.items shard.steals shard.deaths shard.reassigned
+  shard.workers shard.items shard.steals shard.deaths
+
+# Shard workers enforce the per-item kill limit (4 x deadline + 1 s) and
+# match SPA_FAULT name filters against items: a hung loop.spa is killed,
+# retried, and classified timeout, and the batch exits 2.
+SPA_FAULT='timeout@fix:loop' "$ANALYZE" --batch="$WORK/batch.lst" \
+  --shards=2 --deadline=1 > "$WORK/shard-timeout.txt" 2>&1
+rc=$?
+if [ $rc -ne 2 ]; then
+  echo "FAIL: sharded batch with a hung item exited $rc, want 2"
+  cat "$WORK/shard-timeout.txt"
+  exit 1
+fi
+grep -q "loop.spa *timeout" "$WORK/shard-timeout.txt" || {
+  echo "FAIL: hung loop.spa was not classified timeout"
+  cat "$WORK/shard-timeout.txt"
+  exit 1
+}
 
 # Table 2 must append one JSON record per (benchmark, engine) cell.
 SPA_SCALE=0.02 SPA_TIME_LIMIT=10 SPA_BENCH_JSON="$WORK/records.jsonl" \

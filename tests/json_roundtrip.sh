@@ -198,23 +198,26 @@ assert "phase.begin" in kinds, kinds
 assert "partition.end" in kinds, kinds
 EOF
 
-# 7. Crash postmortem via fault injection: an isolated batch child that
-# aborts mid-fixpoint must leave a strict-parseable spa-postmortem-v1
-# file behind, the batch must still classify and exit 2, and the
-# pretty-printer / differ must both consume the artifact.
-mkdir -p "$WORK/pm"
-SPA_FAULT='crash@fix:loop' "$ANALYZE" --batch="$WORK/batch.txt" --isolate \
-  --postmortem-dir="$WORK/pm" > "$WORK/pm-stdout.txt" 2>&1
-rc=$?
-if [ $rc -ne 2 ]; then
-  echo "FAIL: batch with a crashed item exited $rc, want 2"
-  cat "$WORK/pm-stdout.txt"
-  exit 1
-fi
-PM=$(ls "$WORK"/pm/*.pm.json 2>/dev/null | head -n1)
-[ -n "$PM" ] || { echo "FAIL: no postmortem file written"; exit 1; }
-strict_json "$PM" || { echo "FAIL: postmortem malformed"; exit 1; }
-python3 - "$PM" <<'EOF' || exit 1
+# 7. Crash postmortem via fault injection: a shard worker that aborts
+# mid-fixpoint must leave a strict-parseable spa-postmortem-v1 file
+# behind, the batch must still classify and exit 2, and the
+# pretty-printer / differ must both consume the artifact.  --isolate and
+# --shards=2 run on the same executor; both must hold.
+for mode in --isolate --shards=2; do
+  rm -rf "$WORK/pm"
+  mkdir -p "$WORK/pm"
+  SPA_FAULT='crash@fix:loop' "$ANALYZE" --batch="$WORK/batch.txt" $mode \
+    --postmortem-dir="$WORK/pm" > "$WORK/pm-stdout.txt" 2>&1
+  rc=$?
+  if [ $rc -ne 2 ]; then
+    echo "FAIL: $mode batch with a crashed item exited $rc, want 2"
+    cat "$WORK/pm-stdout.txt"
+    exit 1
+  fi
+  PM=$(ls "$WORK"/pm/*.pm.json 2>/dev/null | head -n1)
+  [ -n "$PM" ] || { echo "FAIL: $mode wrote no postmortem file"; exit 1; }
+  strict_json "$PM" || { echo "FAIL: $mode postmortem malformed"; exit 1; }
+  python3 - "$PM" <<'EOF' || exit 1
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "spa-postmortem-v1", doc.get("schema")
@@ -225,6 +228,7 @@ assert any(e["kind"] == "fault.arm"
            for t in doc["threads"] for e in t["events"]), \
     "armed fault missing from the journal tail"
 EOF
+done
 
 if [ -n "$POSTMORTEM" ]; then
   "$POSTMORTEM" --counters "$PM" > "$WORK/pm-render.txt" || {

@@ -6,6 +6,7 @@
 
 #include "TestUtil.h"
 
+#include "core/Checker.h"
 #include "ir/Builder.h"
 #include "ir/Dominators.h"
 #include "lang/Lexer.h"
@@ -101,6 +102,62 @@ TEST(Parser, BareTruthCondition) {
   const Cond &C = *R.Program.Functions[0].Body[0]->Cnd;
   EXPECT_EQ(C.Op, RelOp::Ne); // Desugared to x != 0.
   EXPECT_EQ(C.Rhs->Num, 0);
+}
+
+namespace {
+
+std::string deepParens(size_t N) {
+  return "fun main() { x = " + std::string(N, '(') + "1" +
+         std::string(N, ')') + "; return x; }";
+}
+
+std::string deepIfs(size_t N) {
+  std::string Src = "fun main() { x = 0; ";
+  for (size_t I = 0; I < N; ++I)
+    Src += "if (x < 1) { ";
+  Src += "x = 1; ";
+  for (size_t I = 0; I < N; ++I)
+    Src += "} ";
+  return Src + "return x; }";
+}
+
+/// `x = 1 + 1 + ... + 1` with \p Terms terms: a left chain \p Terms high.
+std::string longChain(size_t Terms) {
+  std::string Src = "fun main() { x = 1";
+  for (size_t I = 1; I < Terms; ++I)
+    Src += " + 1";
+  return Src + "; return x; }";
+}
+
+} // namespace
+
+TEST(Parser, NestingAtTheCapStillAnalyzes) {
+  // 1024 levels — the snapshot loader's expression-depth cap — parse,
+  // build, analyze, and check.
+  for (const std::string &Src :
+       {deepParens(1024), deepIfs(1024), longChain(1024)}) {
+    std::unique_ptr<Program> Prog = build(Src);
+    AnalyzerOptions Opts;
+    Opts.Dep.Bypass = false; // The checker reads input buffers.
+    AnalysisRun Run = analyzeProgram(*Prog, Opts);
+    EXPECT_FALSE(Run.timedOut());
+    checkBufferOverruns(*Prog, Run);
+  }
+}
+
+TEST(Parser, NestingPastTheCapIsAParseError) {
+  // One level past the cap, and inputs deep enough to overflow the stack
+  // of an unbounded recursive descent: a parse error with a line number.
+  for (const std::string &Src :
+       {deepParens(1025), deepIfs(1025), longChain(1025), deepParens(200000),
+        deepIfs(100000), longChain(200000),
+        "fun main() { x = " + std::string(200000, '-') + "y; return x; }"}) {
+    ParseResult R = parseProgram(Src);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.find("nesting deeper than 1024"), std::string::npos)
+        << R.Error;
+    EXPECT_NE(R.Error.find("line 1"), std::string::npos) << R.Error;
+  }
 }
 
 //===----------------------------------------------------------------------===//

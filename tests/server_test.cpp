@@ -333,6 +333,29 @@ TEST(ServeService, BuildErrorsAreTypedNotFatal) {
   mustAnalyze(Svc, multiSource(10, 100, 5));
 }
 
+TEST(ServeService, DeeplyNestedSourceIsABuildErrorNotACrash) {
+  // Nesting deep enough to overflow an unbounded recursive descent is a
+  // typed build error, and the service answers the next request.
+  Service Svc(defaultServiceOptions());
+  std::string Ifs = "fun main() { x = 0; ";
+  for (int I = 0; I < 100000; ++I)
+    Ifs += "if (x < 1) { ";
+  Ifs += std::string(100000, '}') + " return x; }";
+  for (const std::string &Src :
+       {"fun main() { x = " + std::string(200000, '(') + "1" +
+            std::string(200000, ')') + "; return x; }",
+        Ifs}) {
+    AnalyzeRequest Req;
+    Req.Program.assign(Src.begin(), Src.end());
+    AnalyzeResponse Resp;
+    std::string Error;
+    EXPECT_EQ(Svc.analyze(Req, Resp, Error), ServeErrc::BuildError);
+    EXPECT_NE(Error.find("nesting deeper than 1024"), std::string::npos)
+        << Error;
+    mustAnalyze(Svc, multiSource(10, 100, 5));
+  }
+}
+
 #if SPA_OBS_ENABLED
 TEST(ServeService, PerRequestGaugesAreScopedCountersCumulative) {
   obs::Registry &Reg = obs::Registry::global();

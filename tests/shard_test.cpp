@@ -8,10 +8,10 @@
 /// The shard coordinator's contract (DESIGN.md §8 "The shard protocol"):
 /// merged results are bit-identical (deterministic fields) to a
 /// single-shard run and to plain in-process runBatch regardless of how
-/// the dealer interleaved dispatches; an SPA_FAULT-killed worker loses
-/// nothing (its in-flight item is reassigned to a survivor); and the
-/// memory-aware heavy token provably serializes RSS-heavy items — their
-/// dispatch/done windows never overlap.
+/// the dealer interleaved dispatches; and the death rule: a worker an
+/// SPA_FAULT kills loses only the item it held — classified Crash after
+/// one lower-tier retry — while a replacement worker keeps the lane and
+/// every other item finishes as in a clean run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -124,89 +123,49 @@ TEST(ShardCoordinator, TimingAndShardAssignmentsAreRecorded) {
 //===----------------------------------------------------------------------===//
 
 TEST(ShardCoordinator, KilledWorkerLosesNothing) {
-  // crash@shardloop:shard0 fires inside worker 0 right after it receives
-  // its first dispatch, so exactly one worker dies holding exactly one
-  // item.  The dealer must reassign that item to a survivor and finish
-  // the batch clean.
+  // crash@shardloop:prog3 fires in whichever worker picks up prog3, right
+  // after the dispatch, on both attempts.  The death rule classifies
+  // prog3 Crash after its lower-tier retry, each dead worker is replaced,
+  // and nothing else is lost: every other item equals a clean run.
   std::vector<BatchItem> Items = makeSuite(8);
-  FaultEnv Env("crash@shardloop:shard0");
+  ShardRunResult Clean = runSharded(Items, shardOptions(3));
+  FaultEnv Env("crash@shardloop:prog3");
   ShardRunResult R = runSharded(Items, shardOptions(3));
-  EXPECT_EQ(R.WorkerDeaths, 1u);
   ASSERT_EQ(R.Batch.Items.size(), Items.size());
+  EXPECT_EQ(R.WorkerDeaths, 2u); // First attempt and retry.
 
-  unsigned Reassigned = 0;
+  const BatchItemResult &Victim = R.Batch.Items[3];
+  EXPECT_FALSE(Victim.Ok);
+  EXPECT_EQ(Victim.Outcome, BatchOutcome::Crash) << Victim.Error;
+  EXPECT_TRUE(Victim.Retried);
+  EXPECT_EQ(R.Timing[3].Assignments, 2u);
+  EXPECT_EQ(exitCodeFor(R.Batch), 2);
+
   for (size_t I = 0; I < Items.size(); ++I) {
+    if (I == 3)
+      continue;
     EXPECT_TRUE(R.Batch.Items[I].Ok)
         << Items[I].Name << ": " << R.Batch.Items[I].Error;
-    // Nothing can have been *completed* by the dead worker.
-    EXPECT_NE(R.Timing[I].Shard, 0u) << I;
-    if (R.Timing[I].Assignments > 1)
-      ++Reassigned;
-  }
-  EXPECT_EQ(Reassigned, 1u);
-
-  // And the survivors produced the same results a clean run does.
-  ShardRunResult Clean = runSharded(Items, shardOptions(3));
-  for (size_t I = 0; I < Items.size(); ++I)
+    EXPECT_FALSE(R.Batch.Items[I].Retried) << I;
+    EXPECT_EQ(R.Timing[I].Assignments, 1u) << I;
     expectSameDeterministicFields(Clean.Batch.Items[I], R.Batch.Items[I],
                                   "item " + std::to_string(I));
+  }
 }
 
 TEST(ShardCoordinator, AllWorkersDeadClassifiesLeftoversAsCrash) {
-  // No name filter: the fault arms in every worker, so each one dies on
-  // its first dispatch.  With nobody left, the dealer must classify the
-  // remaining items Crash instead of hanging.
+  // No name filter: the fault arms for every item, so every attempt kills
+  // its worker.  Each item must end Crash after its retry, and the run
+  // must end — replacements never outnumber attempts.
   std::vector<BatchItem> Items = makeSuite(5);
   FaultEnv Env("crash@shardloop");
   ShardRunResult R = runSharded(Items, shardOptions(2));
-  EXPECT_EQ(R.WorkerDeaths, 2u);
   ASSERT_EQ(R.Batch.Items.size(), Items.size());
+  EXPECT_EQ(R.WorkerDeaths, 2 * Items.size());
   for (const BatchItemResult &I : R.Batch.Items) {
     EXPECT_FALSE(I.Ok) << I.Name;
     EXPECT_EQ(I.Outcome, BatchOutcome::Crash) << I.Name;
+    EXPECT_TRUE(I.Retried) << I.Name;
   }
   EXPECT_EQ(exitCodeFor(R.Batch), 2);
-}
-
-//===----------------------------------------------------------------------===//
-// Memory-aware bin-packing
-//===----------------------------------------------------------------------===//
-
-TEST(ShardCoordinator, HeavyItemsAreProvablySerialized) {
-  // Two items hint RSS above the heavy threshold.  With 3 workers there
-  // is ample room to run them concurrently — the heavy token must
-  // prevent exactly that: the later one's dispatch can only happen at or
-  // after the earlier one's completion (windows disjoint on the parent's
-  // single batch clock).
-  std::vector<BatchItem> Items = makeSuite(6);
-  Items[1].RssHintKiB = 512 * 1024;
-  Items[4].RssHintKiB = 768 * 1024;
-
-  ShardOptions Opts = shardOptions(3);
-  Opts.HeavyRssKiB = 256 * 1024;
-  ShardRunResult R = runSharded(Items, Opts);
-  for (const BatchItemResult &I : R.Batch.Items)
-    ASSERT_TRUE(I.Ok) << I.Name << ": " << I.Error;
-
-  const ShardItemTiming &A = R.Timing[1];
-  const ShardItemTiming &B = R.Timing[4];
-  const ShardItemTiming &First = A.DispatchSeconds <= B.DispatchSeconds
-                                     ? A : B;
-  const ShardItemTiming &Second = &First == &A ? B : A;
-  EXPECT_GE(Second.DispatchSeconds, First.DoneSeconds)
-      << "heavy windows overlap: [" << First.DispatchSeconds << ", "
-      << First.DoneSeconds << ") vs [" << Second.DispatchSeconds << ", "
-      << Second.DoneSeconds << ")";
-}
-
-TEST(ShardCoordinator, HeavyThresholdOffAllowsAnyOverlap) {
-  // Sanity inverse: with the threshold off the same hints are inert and
-  // every item still completes (overlap itself is scheduling luck, so
-  // only completion is asserted).
-  std::vector<BatchItem> Items = makeSuite(6);
-  Items[1].RssHintKiB = 512 * 1024;
-  Items[4].RssHintKiB = 768 * 1024;
-  ShardRunResult R = runSharded(Items, shardOptions(3));
-  for (const BatchItemResult &I : R.Batch.Items)
-    EXPECT_TRUE(I.Ok) << I.Name << ": " << I.Error;
 }

@@ -13,7 +13,7 @@
 /// and element counts, and targeted header attacks; the suite carries
 /// both sanitizer labels so the asan/ubsan build proves "no UB" rather
 /// than just "no visible crash".  The batch driver rides the same
-/// contract: a corrupt snapshot fed to an isolated child classifies as
+/// contract: a corrupt snapshot fed to a shard worker classifies as
 /// BuildError (the snapshot analogue of unparseable source), never Crash.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,6 +22,7 @@
 #include "ir/Snapshot.h"
 #include "workload/Batch.h"
 #include "workload/Generator.h"
+#include "workload/ShardCoordinator.h"
 
 #include <gtest/gtest.h>
 
@@ -251,10 +252,9 @@ TEST(SnapshotCorruption, IsolatedChildClassifiesCorruptSnapshotAsBuildError) {
   Items.push_back(GoodItem);
   Items.push_back(BadItem);
 
-  BatchOptions Opts;
-  Opts.Check = true;
-  Opts.Isolate = true;
-  BatchResult R = runBatch(Items, Opts);
+  ShardOptions Opts; // The isolated executor: workers load the bytes.
+  Opts.Batch.Check = true;
+  BatchResult R = runSharded(Items, Opts).Batch;
   ASSERT_EQ(R.Items.size(), 2u);
   EXPECT_TRUE(R.Items[0].Ok) << R.Items[0].Error;
   EXPECT_EQ(R.Items[0].Outcome, BatchOutcome::Ok);
@@ -285,7 +285,7 @@ TEST(SnapshotCorruption, InProcessBatchAlsoClassifiesBuildError) {
   BatchItem It;
   It.Name = "trunc";
   It.SnapshotPath = Path;
-  BatchOptions Opts; // Isolate off: the in-process loader path.
+  BatchOptions Opts; // runBatch: the in-process loader path.
   BatchResult R = runBatch({It}, Opts);
   ASSERT_EQ(R.Items.size(), 1u);
   EXPECT_FALSE(R.Items[0].Ok);

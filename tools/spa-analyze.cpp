@@ -26,8 +26,8 @@
 ///                                  expired; the run degrades immediately)
 ///   --step-limit=N                 resource budget: degrade after N steps
 ///   --mem-limit=MIB                resource budget: degrade past this RSS
-///   --isolate                      batch: one forked child per program
-///                                  (crashes/OOM lose one item, not all)
+///   --isolate                      batch: --shards=<--jobs> (crashes,
+///                                  hangs, OOM lose one item, not all)
 ///   --jobs=N                       thread-pool lanes (0 = SPA_JOBS/cores)
 ///   --batch=FILE                   analyze every program listed in FILE
 ///   --batch-suite[=scale]          analyze the generated paper suite
@@ -44,8 +44,8 @@
 ///   --journal-out=FILE             write the flight-recorder journal as
 ///                                  JSON (spa-journal-v1)
 ///   --postmortem-dir=DIR           crash/stall/OOM forensics: write
-///                                  spa-postmortem-v1 files here (batch
-///                                  mode: one per dying child)
+///                                  spa-postmortem-v1 files here (sharded
+///                                  batch: one per item whose worker died)
 ///   --watchdog=MS                  stall watchdog interval; a fixpoint
 ///                                  with no heartbeat for two intervals
 ///                                  dies with a stall postmortem
@@ -681,17 +681,20 @@ int runBatchMode(const CliOptions &Cli) {
   Opts.Analyzer.Budget = Cli.Budget;
   Opts.Analyzer.Jobs = Cli.Jobs;
   Opts.Check = Cli.Check;
-  Opts.Isolate = Cli.Isolate;
   Opts.WatchdogMs = Cli.WatchdogMs;
   Opts.PostmortemDir = Cli.PostmortemDir;
 
+  // --isolate is the shard executor with one worker per --jobs lane.
+  unsigned Shards = Cli.Shards;
+  if (Shards == 0 && Cli.Isolate)
+    Shards = Cli.Jobs ? Cli.Jobs : ThreadPool::defaultJobs();
   BatchResult R;
   unsigned WorkerDeaths = 0;
   uint64_t Steals = 0;
-  if (Cli.Shards > 0) {
+  if (Shards > 0) {
     ShardOptions SOpts;
     SOpts.Batch = Opts;
-    SOpts.Shards = Cli.Shards;
+    SOpts.Shards = Shards;
     ShardRunResult SR = runSharded(Items, SOpts);
     R = std::move(SR.Batch);
     WorkerDeaths = SR.WorkerDeaths;
@@ -724,13 +727,13 @@ int runBatchMode(const CliOptions &Cli) {
               R.numFailed());
   if (R.numDegraded() > 0)
     std::printf("%zu degraded (sound, coarse results)\n", R.numDegraded());
-  if (Cli.Shards > 0)
-    std::printf("%u shards: %llu steals, %u worker deaths\n", Cli.Shards,
+  if (Shards > 0)
+    std::printf("%u shards: %llu steals, %u worker deaths\n", Shards,
                 static_cast<unsigned long long>(Steals), WorkerDeaths);
 
   // Batch ledger: the per-item fixpoint-cost rollup (full per-node
   // ledgers stay inside each item's run; only totals cross the batch —
-  // and, isolated, the fork — boundary).
+  // and, sharded, the fork — boundary).
   std::string LedgerJson;
   if (!Cli.LedgerOut.empty()) {
     auto Quote = [](const std::string &S) {
@@ -788,7 +791,7 @@ int main(int Argc, char **Argv) {
     return runConnectMode(Cli);
 
   if (!Cli.BatchFile.empty() || Cli.BatchSuite)
-    return runBatchMode(Cli); // Forensics install per isolated child.
+    return runBatchMode(Cli); // Forensics install per item in workers.
 
   ForensicsScope Forensics;
   Forensics.install(Cli);
