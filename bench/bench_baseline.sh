@@ -44,7 +44,9 @@ import json, os, sys
 
 records = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 phases = ["phase.pre.seconds", "phase.defuse.seconds",
-          "phase.depbuild.seconds", "phase.fix.seconds",
+          "phase.depbuild.seconds", "phase.depbuild.ssa.seconds",
+          "phase.depbuild.link.seconds", "phase.depbuild.bypass.seconds",
+          "phase.depbuild.storage.seconds", "phase.fix.seconds",
           "phase.total.seconds", "phase.total.cpu_seconds"]
 
 def config(jobs):

@@ -291,7 +291,7 @@ AnalysisRun spa::analyzeProgram(const Program &Prog,
     Run.Ledger = std::move(Led);
   }
 
-  SPA_OBS_GAUGE_SET("phase.depbuild.seconds", Run.depBuildSeconds());
+  exportDepBuildGauges(Run.Graph ? &*Run.Graph : nullptr);
   SPA_OBS_GAUGE_SET("phase.fix.seconds", Run.fixSeconds());
   SPA_OBS_GAUGE_SET("phase.total.seconds", Run.totalSeconds());
   // Wall vs. cpu per phase: cpu_seconds > seconds means the phase ran on

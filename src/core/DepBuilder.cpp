@@ -14,9 +14,11 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <numeric>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace spa;
 
@@ -71,6 +73,44 @@ struct SsaScratch {
   }
 };
 
+/// A location's edge Src -> Dst as one sortable word: (Src, Dst) order.
+uint64_t packPair(uint32_t Src, uint32_t Dst) {
+  return (static_cast<uint64_t>(Src) << 32) | Dst;
+}
+uint32_t srcOf(uint64_t Pair) { return static_cast<uint32_t>(Pair >> 32); }
+uint32_t dstOf(uint64_t Pair) { return static_cast<uint32_t>(Pair); }
+
+void eraseSorted(std::vector<uint32_t> &V, uint32_t X) {
+  auto It = std::lower_bound(V.begin(), V.end(), X);
+  if (It != V.end() && *It == X)
+    V.erase(It);
+}
+
+void insertSorted(std::vector<uint32_t> &V, uint32_t X) {
+  auto It = std::lower_bound(V.begin(), V.end(), X);
+  if (It == V.end() || *It != X)
+    V.insert(It, X);
+}
+
+/// One lane's bypass state, reused across the locations it claims and
+/// freed when the build returns.  A location's nodes get dense local ids
+/// (their rank in Nodes); In/Out hold each local node's sorted local
+/// neighbours for the location.
+struct BypassScratch {
+  static constexpr uint32_t Unmapped = UINT32_MAX;
+
+  explicit BypassScratch(size_t NumNodes) : LocalOf(NumNodes, Unmapped) {}
+
+  std::vector<uint32_t> LocalOf; ///< Graph node -> local id.
+  std::vector<uint32_t> Nodes;   ///< Local id -> graph node, ascending.
+  std::vector<std::vector<uint32_t>> In, Out;
+  std::vector<uint8_t> Pseudo;
+  std::vector<uint32_t> Work;
+  std::vector<uint32_t> Ins, Outs; ///< The node being contracted.
+  uint64_t Pops = 0;               ///< Worklist pops, for budget blocks.
+  bool Stopped = false;            ///< The budget ran out.
+};
+
 class Builder {
 public:
   Builder(const Program &Prog, const CallGraphInfo &CG, const DefUseInfo &DU,
@@ -90,67 +130,44 @@ public:
     Graph.NumPoints = static_cast<uint32_t>(Prog.numPoints());
     Graph.NodeDefs = DU.NodeDefs;
     Graph.NodeUses = DU.NodeUses;
-
-    switch (Opts.Kind) {
-    case DepBuilderKind::Ssa:
-    case DepBuilderKind::ReachingDefs:
-    case DepBuilderKind::DefUseChains: {
-      size_t NF = Prog.numFuncs();
-      bool Ssa = Opts.Kind == DepBuilderKind::Ssa;
-      bool Chains = Opts.Kind == DepBuilderKind::DefUseChains;
-      std::vector<FuncOut> Outs(NF);
-      if (Opts.Jobs > 1) {
-        // One span for the whole phase: the tracer's span stack is
-        // process-wide, so per-function spans stay off worker lanes.
-        SPA_OBS_TRACE(Ssa ? "ssa" : "rd");
-        ThreadPool::global().parallelForChunks(
-            NF, Opts.Jobs, [&](size_t Lo, size_t Hi) {
-              SsaScratch S;
-              for (size_t F = Lo; F < Hi; ++F) {
-                if (Opts.Bud)
-                  Opts.Bud->charge();
-                if (Ssa)
-                  buildSsaForFunction(FuncId(F), S, Outs[F]);
-                else
-                  buildRdForFunction(FuncId(F), Chains, Outs[F]);
-              }
-            });
-      } else {
-        SsaScratch S;
-        for (size_t F = 0; F < NF; ++F) {
-          SPA_OBS_TRACE((Ssa ? "ssa:" : "rd:") +
-                        Prog.function(FuncId(F)).Name);
-          if (Opts.Bud)
-            Opts.Bud->charge();
-          if (Ssa)
-            buildSsaForFunction(FuncId(F), S, Outs[F]);
-          else
-            buildRdForFunction(FuncId(F), Chains, Outs[F]);
-        }
-      }
-      mergeFunctionResults(Outs);
-      addInterProcEdges();
-      break;
-    }
-    case DepBuilderKind::WholeProgram:
-      buildWholeProgram();
-      break;
-    }
-
-    std::sort(EdgeList.begin(), EdgeList.end());
-    EdgeList.erase(std::unique(EdgeList.begin(), EdgeList.end()),
-                   EdgeList.end());
-    Graph.EdgesBeforeBypass = EdgeList.size();
-
-    if (Opts.Bypass && Opts.Kind != DepBuilderKind::WholeProgram) {
-      SPA_OBS_TRACE("bypass");
-      runBypass();
-    }
-
-    uint32_t NumNodes = static_cast<uint32_t>(Graph.numNodes());
     uint32_t NumLocs = Opts.NumLocsOverride
                            ? Opts.NumLocsOverride
                            : static_cast<uint32_t>(Prog.numLocs());
+    // The sub-phases are consecutive laps of the one build clock, and
+    // BuildSeconds is their sum.
+    double Mark = 0;
+    auto Lap = [&] {
+      double Now = Clock.seconds();
+      double Span = Now - Mark;
+      Mark = Now;
+      return Span;
+    };
+
+    bool PerProcedure = Opts.Kind != DepBuilderKind::WholeProgram;
+    if (PerProcedure)
+      buildPerProcedure();
+    else
+      buildWholeProgram();
+    Graph.SsaSeconds = Lap();
+
+    if (PerProcedure)
+      addInterProcEdges();
+    bool Contract = Opts.Bypass && PerProcedure;
+    if (!Contract) {
+      std::sort(EdgeList.begin(), EdgeList.end());
+      EdgeList.erase(std::unique(EdgeList.begin(), EdgeList.end()),
+                     EdgeList.end());
+      Graph.EdgesBeforeBypass = EdgeList.size();
+    }
+    Graph.LinkSeconds = Lap();
+
+    if (Contract) {
+      SPA_OBS_TRACE("bypass");
+      runBypass(NumLocs);
+      Graph.BypassSeconds = Lap();
+    }
+
+    uint32_t NumNodes = static_cast<uint32_t>(Graph.numNodes());
     if (Opts.UseBdd)
       Graph.Edges = std::make_unique<BddDepStorage>(NumNodes, NumLocs);
     else
@@ -174,7 +191,9 @@ public:
           "bdd.nodes",
           static_cast<BddDepStorage *>(Graph.Edges.get())->bddNodeCount());
 
-    Graph.BuildSeconds = Clock.seconds();
+    Graph.StorageSeconds = Lap();
+    Graph.BuildSeconds = Graph.SsaSeconds + Graph.LinkSeconds +
+                         Graph.BypassSeconds + Graph.StorageSeconds;
     return std::move(Graph);
   }
 
@@ -205,6 +224,45 @@ private:
         Result.push_back(L);
     }
     return Result;
+  }
+
+  /// Runs the per-procedure builder on every function (on Opts.Jobs pool
+  /// lanes) and merges the results in function order.
+  void buildPerProcedure() {
+    size_t NF = Prog.numFuncs();
+    bool Ssa = Opts.Kind == DepBuilderKind::Ssa;
+    bool Chains = Opts.Kind == DepBuilderKind::DefUseChains;
+    std::vector<FuncOut> Outs(NF);
+    if (Opts.Jobs > 1) {
+      // One span for the whole phase: the tracer's span stack is
+      // process-wide, so per-function spans stay off worker lanes.
+      SPA_OBS_TRACE(Ssa ? "ssa" : "rd");
+      ThreadPool::global().parallelForChunks(
+          NF, Opts.Jobs, [&](size_t Lo, size_t Hi) {
+            SsaScratch S;
+            for (size_t F = Lo; F < Hi; ++F) {
+              if (Opts.Bud)
+                Opts.Bud->charge();
+              if (Ssa)
+                buildSsaForFunction(FuncId(F), S, Outs[F]);
+              else
+                buildRdForFunction(FuncId(F), Chains, Outs[F]);
+            }
+          });
+    } else {
+      SsaScratch S;
+      for (size_t F = 0; F < NF; ++F) {
+        SPA_OBS_TRACE((Ssa ? "ssa:" : "rd:") +
+                      Prog.function(FuncId(F)).Name);
+        if (Opts.Bud)
+          Opts.Bud->charge();
+        if (Ssa)
+          buildSsaForFunction(FuncId(F), S, Outs[F]);
+        else
+          buildRdForFunction(FuncId(F), Chains, Outs[F]);
+      }
+    }
+    mergeFunctionResults(Outs);
   }
 
   //===------------------------------------------------------------------===//
@@ -576,62 +634,124 @@ private:
            !DU.isSemanticUse(PointId(N), L);
   }
 
-  void runBypass() {
-    // Index edges by (node, loc) packed into one 64-bit key.
-    auto Key = [](uint32_t N, LocId L) {
-      return (static_cast<uint64_t>(N) << 32) | L.value();
-    };
-    struct NodeLocEdges {
-      std::vector<uint32_t> In, Out;
-    };
-    std::unordered_map<uint64_t, NodeLocEdges> Index;
+  /// The bypass contraction, one location at a time.  Contracting
+  /// (N, L) only reads and rewires L-edges, so locations are independent:
+  /// the merged edge list is bucketed by location, lanes claim locations
+  /// one index at a time (the low ids, the globals, carry the most
+  /// edges), and the survivors are gathered back in (Src, L, Dst) order.
+  /// The graph depends only on the program, never on Jobs.
+  void runBypass(uint32_t NumLocs) {
+    std::vector<size_t> Start(NumLocs + 1, 0);
     for (const RawEdge &E : EdgeList) {
-      Index[Key(E.Dst, E.L)].In.push_back(E.Src);
-      Index[Key(E.Src, E.L)].Out.push_back(E.Dst);
+      assert(E.L.value() < NumLocs && "edge outside the location space");
+      ++Start[E.L.value() + 1];
     }
-    auto SortUnique = [](std::vector<uint32_t> &V) {
-      std::sort(V.begin(), V.end());
-      V.erase(std::unique(V.begin(), V.end()), V.end());
-    };
-    for (auto &[K, E] : Index) {
-      SortUnique(E.In);
-      SortUnique(E.Out);
+    std::partial_sum(Start.begin(), Start.end(), Start.begin());
+    std::vector<uint64_t> Pairs(EdgeList.size());
+    {
+      std::vector<size_t> Fill(Start.begin(), Start.end() - 1);
+      for (const RawEdge &E : EdgeList)
+        Pairs[Fill[E.L.value()]++] = packPair(E.Src, E.Dst);
     }
-    auto EraseFrom = [](std::vector<uint32_t> &V, uint32_t X) {
-      auto It = std::lower_bound(V.begin(), V.end(), X);
-      if (It != V.end() && *It == X)
-        V.erase(It);
-    };
-    auto InsertInto = [](std::vector<uint32_t> &V, uint32_t X) {
-      auto It = std::lower_bound(V.begin(), V.end(), X);
-      if (It == V.end() || *It != X)
-        V.insert(It, X);
-    };
+    std::vector<RawEdge>().swap(EdgeList);
 
-    uint64_t Before = EdgeList.size();
-    std::vector<std::pair<uint32_t, LocId>> Work;
-    for (auto &[K, E] : Index)
-      Work.push_back({static_cast<uint32_t>(K >> 32),
-                      LocId(static_cast<uint32_t>(K & 0xffffffffu))});
+    std::vector<size_t> Deduped(NumLocs), Kept(NumLocs);
+    std::atomic<uint32_t> NextLoc{0};
+    auto Lane = [&](size_t) {
+      uint32_t L = NextLoc++;
+      if (L >= NumLocs)
+        return; // Woke after the other lanes had claimed everything.
+      BypassScratch S(Graph.numNodes());
+      for (; L < NumLocs; L = NextLoc++)
+        std::tie(Deduped[L], Kept[L]) =
+            contractLocation(LocId(L), Pairs.data() + Start[L],
+                             Pairs.data() + Start[L + 1], S);
+    };
+    if (Opts.Jobs > 1)
+      ThreadPool::global().parallelFor(Opts.Jobs, Opts.Jobs, Lane);
+    else
+      Lane(0);
 
-    uint64_t Pops = 0;
-    while (!Work.empty()) {
+    uint64_t Before = 0;
+    for (uint32_t L = 0; L < NumLocs; ++L) {
+      Before += Deduped[L];
+      for (size_t I = Start[L]; I < Start[L] + Kept[L]; ++I)
+        EdgeList.push_back(
+            RawEdge{srcOf(Pairs[I]), LocId(L), dstOf(Pairs[I])});
+    }
+    std::sort(EdgeList.begin(), EdgeList.end());
+    Graph.EdgesBeforeBypass = Before;
+    Graph.BypassRemoved = Before - EdgeList.size();
+  }
+
+  /// Contracts the pseudo-occurrences of location \p L.  [Begin, End)
+  /// holds the location's packed (Src, Dst) pairs: they are sorted and
+  /// deduped in place, and the survivors overwrite the front of the range
+  /// in (Src, Dst) order (a guarded contraction never adds more edges
+  /// than it removes, so they fit).  Returns {deduped, surviving} pairs.
+  std::pair<size_t, size_t> contractLocation(LocId L, uint64_t *Begin,
+                                             uint64_t *End,
+                                             BypassScratch &S) const {
+    std::sort(Begin, End);
+    End = std::unique(Begin, End);
+    size_t Before = static_cast<size_t>(End - Begin);
+    if (S.Stopped)
+      return {Before, Before};
+
+    // Dense local ids in ascending node order.  The pairs are sorted and
+    // local ids keep node order, so every In/Out list is born sorted.
+    S.Nodes.clear();
+    auto Note = [&](uint32_t N) {
+      if (S.LocalOf[N] == BypassScratch::Unmapped) {
+        S.LocalOf[N] = 0;
+        S.Nodes.push_back(N);
+      }
+    };
+    for (const uint64_t *P = Begin; P != End; ++P) {
+      Note(srcOf(*P));
+      Note(dstOf(*P));
+    }
+    std::sort(S.Nodes.begin(), S.Nodes.end());
+    uint32_t NumLocal = static_cast<uint32_t>(S.Nodes.size());
+    if (S.In.size() < NumLocal) {
+      S.In.resize(NumLocal);
+      S.Out.resize(NumLocal);
+    }
+    S.Pseudo.resize(NumLocal);
+    for (uint32_t I = 0; I < NumLocal; ++I) {
+      S.LocalOf[S.Nodes[I]] = I;
+      S.In[I].clear();
+      S.Out[I].clear();
+      S.Pseudo[I] = isPseudoOccurrence(S.Nodes[I], L);
+    }
+    for (const uint64_t *P = Begin; P != End; ++P) {
+      uint32_t Src = S.LocalOf[srcOf(*P)], Dst = S.LocalOf[dstOf(*P)];
+      S.Out[Src].push_back(Dst);
+      S.In[Dst].push_back(Src);
+    }
+
+    // Seeded in ascending order, so the highest ids pop first: phis
+    // (numbered after every point) before entry/exit/call plumbing.  The
+    // guarded contraction depends on order; this one makes the graph a
+    // function of the program alone (DESIGN.md §5).
+    S.Work.resize(NumLocal);
+    std::iota(S.Work.begin(), S.Work.end(), 0u);
+    while (!S.Work.empty()) {
       // An exhausted budget stops contracting: every prefix of the
       // contraction sequence leaves a valid (just less contracted)
-      // dependency graph.  Charged in blocks of 64 pops — this loop is
-      // hot enough that a per-pop atomic shows up in the guard-overhead
-      // bench — so the check interval stays bounded at 64.
-      if (Opts.Bud && (Pops++ & 63) == 0 && !Opts.Bud->charge(64))
+      // dependency graph.  Charged in blocks of 64 pops per lane — this
+      // loop is hot enough that a per-pop atomic shows up in the
+      // guard-overhead bench — and the exhaustion is sticky, so every
+      // lane stops within 64 pops of the trip.
+      if (Opts.Bud && (S.Pops++ & 63) == 0 && !Opts.Bud->charge(64)) {
+        S.Stopped = true;
         break;
-      auto [N, L] = Work.back();
-      Work.pop_back();
-      if (!isPseudoOccurrence(N, L))
+      }
+      uint32_t X = S.Work.back();
+      S.Work.pop_back();
+      if (!S.Pseudo[X])
         continue;
-      auto It = Index.find(Key(N, L));
-      if (It == Index.end())
-        continue;
-      NodeLocEdges &E = It->second;
-      size_t InN = E.In.size(), OutN = E.Out.size();
+      size_t InN = S.In[X].size(), OutN = S.Out[X].size();
       if (InN == 0 && OutN == 0)
         continue;
       // Contract only when rewiring does not grow the edge count.  A
@@ -639,41 +759,38 @@ private:
       bool Shrinks = InN == 0 || OutN == 0 || InN * OutN <= InN + OutN;
       if (!Shrinks)
         continue;
-      std::vector<uint32_t> Ins = E.In, Outs = E.Out;
-      // Detach N for L.
-      for (uint32_t S : Ins) {
-        EraseFrom(Index[Key(S, L)].Out, N);
-        Work.push_back({S, L});
+      S.Ins.clear();
+      S.Outs.clear();
+      S.Ins.swap(S.In[X]);
+      S.Outs.swap(S.Out[X]);
+      // Detach X ...
+      for (uint32_t Src : S.Ins) {
+        eraseSorted(S.Out[Src], X);
+        S.Work.push_back(Src);
       }
-      for (uint32_t D : Outs) {
-        EraseFrom(Index[Key(D, L)].In, N);
-        Work.push_back({D, L});
+      for (uint32_t Dst : S.Outs) {
+        eraseSorted(S.In[Dst], X);
+        S.Work.push_back(Dst);
       }
-      E.In.clear();
-      E.Out.clear();
-      // Rewire around it.
-      for (uint32_t S : Ins) {
-        for (uint32_t D : Outs) {
-          if (S == N || D == N)
+      // ... and rewire around it.
+      for (uint32_t Src : S.Ins) {
+        for (uint32_t Dst : S.Outs) {
+          if (Src == X || Dst == X)
             continue;
-          InsertInto(Index[Key(S, L)].Out, D);
-          InsertInto(Index[Key(D, L)].In, S);
+          insertSorted(S.Out[Src], Dst);
+          insertSorted(S.In[Dst], Src);
         }
       }
     }
 
-    EdgeList.clear();
-    for (auto &[K, E] : Index) {
-      uint32_t Src = static_cast<uint32_t>(K >> 32);
-      LocId L(static_cast<uint32_t>(K & 0xffffffffu));
-      for (uint32_t Dst : E.Out)
-        EdgeList.push_back(RawEdge{Src, L, Dst});
-    }
-    std::sort(EdgeList.begin(), EdgeList.end());
-    EdgeList.erase(std::unique(EdgeList.begin(), EdgeList.end()),
-                   EdgeList.end());
-    Graph.BypassRemoved =
-        Before > EdgeList.size() ? Before - EdgeList.size() : 0;
+    uint64_t *Kept = Begin;
+    for (uint32_t I = 0; I < NumLocal; ++I)
+      for (uint32_t J : S.Out[I])
+        *Kept++ = packPair(S.Nodes[I], S.Nodes[J]);
+    assert(Kept <= End && "a contraction grew the edge count");
+    for (uint32_t N : S.Nodes)
+      S.LocalOf[N] = BypassScratch::Unmapped;
+    return {Before, static_cast<size_t>(Kept - Begin)};
   }
 
   const Program &Prog;
@@ -689,4 +806,14 @@ private:
 SparseGraph spa::buildDepGraph(const Program &Prog, const CallGraphInfo &CG,
                                const DefUseInfo &DU, const DepOptions &Opts) {
   return Builder(Prog, CG, DU, Opts).run();
+}
+
+void spa::exportDepBuildGauges(const SparseGraph *Graph) {
+  SparseGraph None;
+  const SparseGraph &G = Graph ? *Graph : None;
+  SPA_OBS_GAUGE_SET("phase.depbuild.seconds", G.BuildSeconds);
+  SPA_OBS_GAUGE_SET("phase.depbuild.ssa.seconds", G.SsaSeconds);
+  SPA_OBS_GAUGE_SET("phase.depbuild.link.seconds", G.LinkSeconds);
+  SPA_OBS_GAUGE_SET("phase.depbuild.bypass.seconds", G.BypassSeconds);
+  SPA_OBS_GAUGE_SET("phase.depbuild.storage.seconds", G.StorageSeconds);
 }

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 namespace spa {
 namespace {
@@ -525,7 +526,9 @@ saveSnapshot(const Program &Prog,
     Sections.emplace_back(SecDepGraph, &DepGraph);
 
   Writer Out;
-  Out.Buf.insert(Out.Buf.end(), Magic, Magic + sizeof(Magic));
+  // assign, not a range insert: GCC 12 under -fsanitize=thread misreads
+  // the inlined insert into the empty buffer as a stringop overflow.
+  Out.Buf.assign(std::begin(Magic), std::end(Magic));
   Out.u32(SnapshotVersion);
   Out.u32(static_cast<uint32_t>(Sections.size()));
   uint64_t Offset = HeaderBytes + Sections.size() * TableEntryBytes;

@@ -766,8 +766,7 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
     Run.Ledger = std::move(Led);
   }
 
-  SPA_OBS_GAUGE_SET("phase.depbuild.seconds",
-                    Run.Graph ? Run.Graph->BuildSeconds : 0);
+  exportDepBuildGauges(Run.Graph ? &*Run.Graph : nullptr);
   SPA_OBS_GAUGE_SET("phase.fix.seconds", Run.fixSeconds());
   SPA_OBS_GAUGE_SET("phase.total.seconds", Run.depSeconds() + Run.fixSeconds());
   SPA_OBS_GAUGE_MAX("mem.peak_rss_kib", currentPeakRssKiB());

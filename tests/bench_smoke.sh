@@ -36,6 +36,8 @@ for ex in loop pointers; do
     > /dev/null || exit 1
   require_keys "$WORK/$ex-i.json" \
     phase.pre.seconds phase.defuse.seconds phase.depbuild.seconds \
+    phase.depbuild.ssa.seconds phase.depbuild.link.seconds \
+    phase.depbuild.bypass.seconds phase.depbuild.storage.seconds \
     phase.fix.seconds phase.total.seconds fixpoint.worklist.pops \
     fixpoint.visits depgraph.edges depgraph.nodes program.points \
     program.locs mem.peak_rss_kib value.pool.nodes value.pool.hit_rate \

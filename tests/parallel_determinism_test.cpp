@@ -30,6 +30,7 @@
 
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace spa;
@@ -64,7 +65,8 @@ struct RunDigest {
   std::string Alarms;
   uint64_t Visits = 0;
   uint64_t StateEntries = 0;
-  uint64_t GraphEdges = 0;
+  /// Every dependency edge (Src, L, Dst), in storage order.
+  std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> Edges;
   std::vector<AbsState> In, Out;
   std::map<std::string, double> Counters;
   /// Per-node cost-ledger count rows, flattened in node order.  Every
@@ -73,21 +75,30 @@ struct RunDigest {
   std::vector<uint64_t> LedgerRows;
 };
 
-RunDigest digestRun(const Program &Prog, unsigned Jobs) {
+/// Analyzes \p Prog at \p Jobs lanes.  With \p Bypass off (what the
+/// checker runs) the listing and alarms are part of the digest; with it
+/// on (the default configuration) they are not, because both read input
+/// buffers, which the contraction leaves partial.
+RunDigest digestRun(const Program &Prog, unsigned Jobs, bool Bypass) {
   obs::Registry::global().reset();
   AnalyzerOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.Dep.Bypass = false; // Checker and listing read input buffers.
+  Opts.Dep.Bypass = Bypass;
   AnalysisRun Run = analyzeProgram(Prog, Opts);
 
   RunDigest D;
-  D.Listing = exportAnnotatedListing(Prog, Run);
-  CheckerSummary Summary = checkBufferOverruns(Prog, Run);
-  for (const AccessCheck &C : Summary.Checks)
-    D.Alarms += C.str(Prog) + "\n";
+  if (!Bypass) {
+    D.Listing = exportAnnotatedListing(Prog, Run);
+    CheckerSummary Summary = checkBufferOverruns(Prog, Run);
+    for (const AccessCheck &C : Summary.Checks)
+      D.Alarms += C.str(Prog) + "\n";
+  }
   D.Visits = Run.Sparse->Visits;
   D.StateEntries = Run.Sparse->StateEntries;
-  D.GraphEdges = Run.Graph->Edges->edgeCount();
+  for (uint32_t N = 0; N < Run.Graph->numNodes(); ++N)
+    Run.Graph->Edges->forEachOut(N, [&](LocId L, uint32_t Dst) {
+      D.Edges.emplace_back(N, L.value(), Dst);
+    });
   D.In = Run.Sparse->In;
   D.Out = Run.Sparse->Out;
   // The deterministic fixpoint counters: per-shard schedules are
@@ -109,17 +120,18 @@ RunDigest digestRun(const Program &Prog, unsigned Jobs) {
   return D;
 }
 
-TEST(ParallelDeterminismTest, AllJobCountsProduceIdenticalResults) {
-  constexpr unsigned Rounds = 50;
+/// Analyzes \p Rounds generator programs at jobs 1, 2, 4 and 8 and
+/// asserts every digest field equal to the single-lane run's.
+void expectIdenticalAcrossJobCounts(unsigned Rounds, bool Bypass) {
   for (unsigned Round = 0; Round < Rounds; ++Round) {
     BuildResult Built =
         buildProgramFromSource(generateSource(configForRound(Round)));
     ASSERT_TRUE(Built.ok()) << Built.Error;
     const Program &Prog = *Built.Prog;
 
-    RunDigest Seq = digestRun(Prog, 1);
+    RunDigest Seq = digestRun(Prog, 1, Bypass);
     for (unsigned Jobs : {2u, 4u, 8u}) {
-      RunDigest Par = digestRun(Prog, Jobs);
+      RunDigest Par = digestRun(Prog, Jobs, Bypass);
       ASSERT_EQ(Seq.Listing, Par.Listing)
           << "round " << Round << " jobs " << Jobs;
       ASSERT_EQ(Seq.Alarms, Par.Alarms)
@@ -128,7 +140,7 @@ TEST(ParallelDeterminismTest, AllJobCountsProduceIdenticalResults) {
           << "round " << Round << " jobs " << Jobs;
       ASSERT_EQ(Seq.StateEntries, Par.StateEntries)
           << "round " << Round << " jobs " << Jobs;
-      ASSERT_EQ(Seq.GraphEdges, Par.GraphEdges)
+      ASSERT_EQ(Seq.Edges, Par.Edges)
           << "round " << Round << " jobs " << Jobs;
       ASSERT_EQ(Seq.Counters, Par.Counters)
           << "round " << Round << " jobs " << Jobs;
@@ -143,6 +155,18 @@ TEST(ParallelDeterminismTest, AllJobCountsProduceIdenticalResults) {
       }
     }
   }
+}
+
+TEST(ParallelDeterminismTest, AllJobCountsProduceIdenticalResults) {
+  expectIdenticalAcrossJobCounts(/*Rounds=*/50, /*Bypass=*/false);
+}
+
+TEST(ParallelDeterminismTest, BypassGraphsAndResultsIndependentOfJobs) {
+  // The default configuration (what spa-analyze prog.spa --jobs=N and
+  // spa-serve run): the bypass contraction runs per location on the
+  // pool lanes, and its graph, hence everything downstream, must not
+  // depend on how locations were spread over them.
+  expectIdenticalAcrossJobCounts(/*Rounds=*/100, /*Bypass=*/true);
 }
 
 TEST(ParallelDeterminismTest, BudgetDegradationIsIdenticalAcrossJobCounts) {
@@ -189,7 +213,7 @@ TEST(ParallelDeterminismTest, BudgetDegradationIsIdenticalAcrossJobCounts) {
 TEST(ParallelDeterminismTest, PhaseGaugesSatisfyTotalInvariant) {
   // The per-phase gauge split must stay exact under parallel execution:
   // total == pre + defuse + depbuild + fix (pinned sequentially by
-  // tests/obs_test.cpp).
+  // tests/obs_test.cpp), and depbuild == ssa + link + bypass + storage.
   BuildResult Built =
       buildProgramFromSource(generateSource(configForRound(7)));
   ASSERT_TRUE(Built.ok());
@@ -200,12 +224,27 @@ TEST(ParallelDeterminismTest, PhaseGaugesSatisfyTotalInvariant) {
   EXPECT_DOUBLE_EQ(Run.totalSeconds(),
                    Run.PreSeconds + Run.DefUseSeconds +
                        Run.depBuildSeconds() + Run.fixSeconds());
+  const SparseGraph &G = *Run.Graph;
+  EXPECT_DOUBLE_EQ(Run.depBuildSeconds(), G.SsaSeconds + G.LinkSeconds +
+                                              G.BypassSeconds +
+                                              G.StorageSeconds);
+  EXPECT_GT(G.BypassSeconds, 0);
   auto Snapshot = obs::Registry::global().snapshot();
   std::map<std::string, double> M(Snapshot.begin(), Snapshot.end());
+#if SPA_OBS_ENABLED
+  for (const char *Sub : {"ssa", "link", "bypass", "storage"})
+    EXPECT_EQ(M.count(std::string("phase.depbuild.") + Sub + ".seconds"), 1u)
+        << Sub;
+#endif
   EXPECT_DOUBLE_EQ(M["phase.total.seconds"],
                    M["phase.pre.seconds"] + M["phase.defuse.seconds"] +
                        M["phase.depbuild.seconds"] +
                        M["phase.fix.seconds"]);
+  EXPECT_DOUBLE_EQ(M["phase.depbuild.seconds"],
+                   M["phase.depbuild.ssa.seconds"] +
+                       M["phase.depbuild.link.seconds"] +
+                       M["phase.depbuild.bypass.seconds"] +
+                       M["phase.depbuild.storage.seconds"]);
 #if SPA_OBS_ENABLED
   // Gauges exist only in instrumented builds; the AnalysisRun timing
   // invariant above still holds with -DSPA_OBS=OFF.

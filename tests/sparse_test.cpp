@@ -8,15 +8,21 @@
 /// The heart of the reproduction: Lemma 2 (precision preservation of the
 /// sparse analysis with safely approximated D̂/Û), the Example 4/5
 /// imprecision of conventional def-use chains, cross-validation of the
-/// dependency builders, and BDD-backed storage equivalence.
+/// dependency builders, BDD-backed storage equivalence, and the end state
+/// of the bypass contraction.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "core/Analyzer.h"
+#include "workload/Generator.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <sstream>
 
 using namespace spa;
 using namespace spa::test;
@@ -311,4 +317,94 @@ TEST(SparseAnalysis, SparsityStatisticsAreSmall) {
   EXPECT_LT(Run.DU.avgDefSize(), 4.0);
   EXPECT_LT(Run.DU.avgUseSize(), 5.0);
   EXPECT_GT(Run.Graph->Edges->edgeCount(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The end state of the bypass contraction.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// examples/{loop,pointers}.spa plus generator programs with loops,
+/// recursion, callgraph SCCs, function pointers and pointer traffic.
+std::vector<std::unique_ptr<Program>> contractionCorpus() {
+  std::vector<std::unique_ptr<Program>> Progs;
+  for (const char *Name : {"loop.spa", "pointers.spa"}) {
+    std::ifstream In(std::string(SPA_EXAMPLES_DIR) + "/" + Name);
+    EXPECT_TRUE(In.good()) << Name;
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Progs.push_back(build(SS.str()));
+  }
+  for (unsigned Seed = 1; Seed <= 12; ++Seed) {
+    GenConfig C;
+    C.Seed = 0xb1a5 + Seed;
+    C.NumFunctions = 2 + Seed % 7;
+    C.AllowRecursion = Seed % 2 == 1;
+    C.UseFunctionPointers = Seed % 3 == 0;
+    C.SccGroupSize = Seed % 4 == 2 ? 3 : 0;
+    Progs.push_back(build(generateSource(C)));
+  }
+  return Progs;
+}
+
+} // namespace
+
+TEST(SparseAnalysis, BypassLeavesNoContractiblePseudoOccurrence) {
+  // At convergence, every pseudo-occurrence (N, L) that still has an
+  // L-edge fails the growth guard, in every location and for any
+  // contraction order: a node whose edges change is re-examined.
+  uint64_t Removed = 0;
+  for (const auto &Prog : contractionCorpus()) {
+    for (unsigned Jobs : {1u, 4u}) {
+      AnalyzerOptions Opts;
+      Opts.Jobs = Jobs;
+      AnalysisRun Run = analyzeProgram(*Prog, Opts);
+      const SparseGraph &G = *Run.Graph;
+      Removed += G.BypassRemoved;
+      std::map<std::pair<uint32_t, uint32_t>, std::pair<size_t, size_t>>
+          InOut; // (node, location) -> (in-degree, out-degree)
+      for (uint32_t N = 0; N < G.numNodes(); ++N)
+        G.Edges->forEachOut(N, [&](LocId L, uint32_t Dst) {
+          ++InOut[{N, L.value()}].second;
+          ++InOut[{Dst, L.value()}].first;
+        });
+      for (const auto &[Key, Degree] : InOut) {
+        auto [N, L] = Key;
+        auto [In, Out] = Degree;
+        bool Pseudo = G.isPhi(N) ||
+                      (!Run.DU.isSemanticDef(PointId(N), LocId(L)) &&
+                       !Run.DU.isSemanticUse(PointId(N), LocId(L)));
+        if (!Pseudo)
+          continue;
+        EXPECT_FALSE(In == 0 || Out == 0 || In * Out <= In + Out)
+            << "node " << N << " location " << Prog->loc(LocId(L)).Name
+            << " in " << In << " out " << Out << " jobs " << Jobs;
+      }
+    }
+  }
+  EXPECT_GT(Removed, 0u);
+}
+
+TEST(SparseAnalysis, ExhaustedBudgetSkipsTheContraction) {
+  // A pre-exhausted budget stops the contraction before its first pop
+  // in every lane: the graph keeps every edge of the bypass-off graph
+  // (built under the same budget, hence the same degraded pre-analysis).
+  for (const auto &Prog : contractionCorpus()) {
+    AnalysisRun Off = analyze(*Prog, EngineKind::Sparse,
+                              [](AnalyzerOptions &O) {
+                                O.Dep.Bypass = false;
+                                O.Budget.DeadlineSec = -1;
+                              });
+    for (unsigned Jobs : {1u, 4u}) {
+      AnalyzerOptions Opts;
+      Opts.Jobs = Jobs;
+      Opts.Budget.DeadlineSec = -1;
+      AnalysisRun Run = analyzeProgram(*Prog, Opts);
+      const SparseGraph &G = *Run.Graph;
+      EXPECT_EQ(G.Edges->edgeCount(), G.EdgesBeforeBypass) << Jobs;
+      EXPECT_EQ(G.BypassRemoved, 0u) << Jobs;
+      EXPECT_EQ(G.EdgesBeforeBypass, Off.Graph->Edges->edgeCount()) << Jobs;
+    }
+  }
 }
