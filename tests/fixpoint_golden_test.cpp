@@ -13,8 +13,12 @@
 /// degradation-free result of any engine shows up here as a named line.
 ///
 /// Inputs: examples/*.spa plus 16 seeded generator programs with loops
-/// and recursion (the widening-relevant shapes).  Regenerate the file
-/// only for an *intentional* result change with
+/// and recursion (the widening-relevant shapes), on every engine; and the
+/// 16 paperSuite(0.02) programs on the sparse engine only, where per-visit
+/// shortcuts of the sparse step meet call summaries, SCCs and many
+/// locations: interval with bypass on, interval with bypass off (the
+/// checker's graph), and octagon.  Regenerate the file only for an
+/// *intentional* result change with
 ///
 ///   SPA_UPDATE_GOLDEN=1 ./fixpoint_golden_test      (writes tests/golden)
 ///   SPA_UPDATE_GOLDEN=<dir> ./fixpoint_golden_test  (writes <dir>)
@@ -25,6 +29,7 @@
 #include "ir/Builder.h"
 #include "oct/OctAnalysis.h"
 #include "workload/Generator.h"
+#include "workload/Suite.h"
 
 #include <gtest/gtest.h>
 
@@ -121,6 +126,45 @@ std::string line(const std::string &Prog, const char *Engine,
          std::to_string(Visits);
 }
 
+std::string intervalLine(const std::string &Name, const char *EName,
+                         const AnalysisRun &Itv) {
+  EXPECT_FALSE(Itv.timedOut() || Itv.degraded()) << Name;
+  auto AbsStr = [](const AbsState &S) { return S.str(); };
+  Digest DI;
+  uint64_t Visits = 0;
+  if (Itv.Dense) {
+    addStates(DI, "post", Itv.Dense->Post, AbsStr);
+    Visits = Itv.Dense->Visits;
+  } else {
+    addStates(DI, "in", Itv.Sparse->In, AbsStr);
+    addStates(DI, "out", Itv.Sparse->Out, AbsStr);
+    Visits = Itv.Sparse->Visits;
+  }
+  DI.add(std::to_string(Visits));
+  return line(Name, EName, "interval", DI, Visits);
+}
+
+std::string octagonLine(const std::string &Name, const char *EName,
+                        const OctRun &Oct) {
+  EXPECT_FALSE(Oct.timedOut() || Oct.degraded()) << Name;
+  Digest DO;
+  uint64_t Visits = 0;
+  if (Oct.Dense) {
+    addStates(DO, "post", Oct.Dense->Post, octStr);
+    Visits = Oct.Dense->Visits;
+  } else {
+    addStates(DO, "in", Oct.Sparse->In, octStr);
+    addStates(DO, "out", Oct.Sparse->Out, octStr);
+    Visits = Oct.Sparse->Visits;
+  }
+  DO.add(std::to_string(Visits));
+  return line(Name, EName, "octagon", DO, Visits);
+}
+
+/// The paperSuite(0.02) programs, sparse engine only.
+constexpr double SuiteScale = 0.02;
+constexpr size_t LinesPerSuiteProgram = 3;
+
 /// One line per (program, engine, domain): "<prog> <engine> <domain>
 /// <digest> <visits>".
 std::vector<std::string> computeLines() {
@@ -128,7 +172,6 @@ std::vector<std::string> computeLines() {
       {EngineKind::Vanilla, "vanilla"},
       {EngineKind::Base, "base"},
       {EngineKind::Sparse, "sparse"}};
-  auto AbsStr = [](const AbsState &S) { return S.str(); };
   std::vector<std::string> Lines;
   for (const Input &In : inputs()) {
     BuildResult B = buildProgramFromSource(In.Source);
@@ -139,38 +182,25 @@ std::vector<std::string> computeLines() {
     for (const auto &[Engine, EName] : Engines) {
       AnalyzerOptions AOpts;
       AOpts.Engine = Engine;
-      AnalysisRun Itv = analyzeProgram(Prog, AOpts);
-      EXPECT_FALSE(Itv.timedOut() || Itv.degraded()) << In.Name;
-      Digest DI;
-      uint64_t IVisits = 0;
-      if (Itv.Dense) {
-        addStates(DI, "post", Itv.Dense->Post, AbsStr);
-        IVisits = Itv.Dense->Visits;
-      } else {
-        addStates(DI, "in", Itv.Sparse->In, AbsStr);
-        addStates(DI, "out", Itv.Sparse->Out, AbsStr);
-        IVisits = Itv.Sparse->Visits;
-      }
-      DI.add(std::to_string(IVisits));
-      Lines.push_back(line(In.Name, EName, "interval", DI, IVisits));
-
+      Lines.push_back(intervalLine(In.Name, EName, analyzeProgram(Prog, AOpts)));
       OctOptions OOpts;
       OOpts.Engine = Engine;
-      OctRun Oct = runOctAnalysis(Prog, OOpts);
-      EXPECT_FALSE(Oct.timedOut() || Oct.degraded()) << In.Name;
-      Digest DO;
-      uint64_t OVisits = 0;
-      if (Oct.Dense) {
-        addStates(DO, "post", Oct.Dense->Post, octStr);
-        OVisits = Oct.Dense->Visits;
-      } else {
-        addStates(DO, "in", Oct.Sparse->In, octStr);
-        addStates(DO, "out", Oct.Sparse->Out, octStr);
-        OVisits = Oct.Sparse->Visits;
-      }
-      DO.add(std::to_string(OVisits));
-      Lines.push_back(line(In.Name, EName, "octagon", DO, OVisits));
+      Lines.push_back(octagonLine(In.Name, EName, runOctAnalysis(Prog, OOpts)));
     }
+  }
+  for (const SuiteEntry &E : paperSuite(SuiteScale)) {
+    std::string Name = "suite0.02/" + E.Name;
+    BuildResult B = buildProgramFromSource(generateSource(E.Config));
+    EXPECT_TRUE(B.ok()) << Name << ": " << B.Error;
+    if (!B.ok())
+      continue;
+    const Program &Prog = *B.Prog;
+    AnalyzerOptions AOpts;
+    Lines.push_back(intervalLine(Name, "sparse", analyzeProgram(Prog, AOpts)));
+    AOpts.Dep.Bypass = false;
+    Lines.push_back(
+        intervalLine(Name, "sparse-nobypass", analyzeProgram(Prog, AOpts)));
+    Lines.push_back(octagonLine(Name, "sparse", runOctAnalysis(Prog, {})));
   }
   return Lines;
 }
@@ -187,7 +217,8 @@ std::string keyOf(const std::string &Line) {
 
 TEST(FixpointGolden, EveryEngineAndDomainMatchesTheCheckedInDigests) {
   std::vector<std::string> Now = computeLines();
-  ASSERT_EQ(Now.size(), 6u * inputs().size());
+  ASSERT_EQ(Now.size(), 6u * inputs().size() +
+                            LinesPerSuiteProgram * paperSuite(SuiteScale).size());
 
   if (const char *V = std::getenv("SPA_UPDATE_GOLDEN")) {
     std::string Dir = std::string(V) == "1" ? SPA_GOLDEN_DIR : V;
