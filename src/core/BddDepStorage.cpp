@@ -8,6 +8,7 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace spa;
@@ -84,4 +85,13 @@ void BddDepStorage::forEachOut(
                          Loc |= 1u << (LocBits - 1 - I);
                      F(LocId(Loc), Dst);
                    });
+}
+
+void BddDepStorage::forEachOutOn(
+    uint32_t Src, const std::vector<LocId> &Labels,
+    const std::function<void(LocId, uint32_t)> &F) const {
+  forEachOut(Src, [&](LocId L, uint32_t Dst) {
+    if (std::binary_search(Labels.begin(), Labels.end(), L))
+      F(L, Dst);
+  });
 }

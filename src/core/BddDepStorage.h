@@ -34,6 +34,11 @@ public:
   void forEachOut(
       uint32_t Src,
       const std::function<void(LocId, uint32_t)> &F) const override;
+  /// Filters the forEachOut walk: models are enumerated by target first,
+  /// so the labels cannot be looked up directly.
+  void forEachOutOn(
+      uint32_t Src, const std::vector<LocId> &Labels,
+      const std::function<void(LocId, uint32_t)> &F) const override;
   uint64_t edgeCount() const override { return Edges; }
   /// Size of the *live* relation: nodes reachable from the root, at the
   /// node-record plus unique-table cost per node.  Dead intermediates and

@@ -27,6 +27,18 @@ void SetDepStorage::forEachOut(
     F(E.L, E.Dst);
 }
 
+void SetDepStorage::forEachOutOn(
+    uint32_t Src, const std::vector<LocId> &Labels,
+    const std::function<void(LocId, uint32_t)> &F) const {
+  const std::vector<Edge> &V = Out[Src];
+  auto It = V.begin();
+  for (LocId L : Labels) {
+    It = std::lower_bound(It, V.end(), Edge{L, 0});
+    for (; It != V.end() && It->L == L; ++It)
+      F(L, It->Dst);
+  }
+}
+
 uint64_t SetDepStorage::memoryBytes() const {
   uint64_t Bytes = sizeof(*this) + Out.capacity() * sizeof(Out[0]);
   for (const auto &V : Out)

@@ -45,6 +45,13 @@ public:
   forEachOut(uint32_t Src,
              const std::function<void(LocId, uint32_t)> &F) const = 0;
 
+  /// Invokes \p F for every out-edge of \p Src labeled with a location of
+  /// \p Labels (ascending, duplicate-free): the sparse fixpoint's delivery
+  /// walk, which visits only the labels whose value changed.
+  virtual void
+  forEachOutOn(uint32_t Src, const std::vector<LocId> &Labels,
+               const std::function<void(LocId, uint32_t)> &F) const = 0;
+
   virtual uint64_t edgeCount() const = 0;
 
   /// Estimated resident bytes of the representation (what Table 2's
@@ -61,6 +68,10 @@ public:
   bool add(uint32_t Src, LocId L, uint32_t Dst) override;
   void forEachOut(
       uint32_t Src,
+      const std::function<void(LocId, uint32_t)> &F) const override;
+  /// One forward lower_bound per label into the sorted (L, Dst) list.
+  void forEachOutOn(
+      uint32_t Src, const std::vector<LocId> &Labels,
       const std::function<void(LocId, uint32_t)> &F) const override;
   uint64_t edgeCount() const override { return Edges; }
   uint64_t memoryBytes() const override;

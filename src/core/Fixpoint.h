@@ -21,7 +21,9 @@
 ///    transfers over input buffers and delivers changed values along
 ///    dependency edges, with delayed widening per (node, location) on
 ///    cycle-closing edges, the exact V ⊑ Old no-change skip, and
-///    component shards.
+///    component shards.  A visit costs what changed: it re-publishes only
+///    the locations delivered or written (see "Pending locations" below)
+///    and walks only the out-edges whose label grew.
 ///
 /// Both steps are templates over a domain adapter (IntervalDomain in
 /// core/IntervalAnalysis.cpp, OctDomain in oct/OctAnalysis.cpp) that
@@ -39,7 +41,10 @@
 ///   uint64_t growth(const Val *Old, const Val &New);  ledger units
 ///   void transfer(PointId, State &);               dense, in place
 ///   State transfer(PointId, const State &In, const std::vector<LocId>
-///                  &Defs);                         sparse, over In
+///                  &Defs, std::vector<LocId> &Pending);
+///                  sparse, over In: the output over Defs ∩ (written ∪
+///                  Pending), ascending (walkSparseOutput); leaves this
+///                  visit's written locations in Pending
 ///   void degrade(State &); void degrade(State &, LocId);
 ///   cost();   a scope whose charge() adds domain cost to a ledger row
 ///
@@ -56,6 +61,23 @@
 /// worklist would pop, and the per-node results — including widening
 /// decisions, which only consult per-(node, location) arrival counts —
 /// are bit-identical under any assignment of components to shards.
+///
+/// Pending locations: a point's output over its def set D̂(c) is the
+/// transfer's writes plus the passthrough In[L] of every spurious
+/// definition L (D̂ − D, and the callee summaries Section 5 folds into
+/// call, entry, exit and return points).  Publishing is a weak join, so
+/// re-publishing a passthrough whose input did not change since it was
+/// last published changes nothing.  Each point therefore keeps the
+/// locations whose passthrough may have moved — those delivered into its
+/// input since its last visit, plus those its transfer wrote at its last
+/// visit — and its next visit emits only these and its fresh writes.
+/// The written set must carry over: a strong store *p = 5 with p → {a}
+/// writes a; once p → {a, b} and 5 ⊑ In[a], the weak store leaves a
+/// unwritten, and a's output becomes the passthrough In[a], which was
+/// never published.  Any other location L of D̂(c) satisfies Out[L] ⊒
+/// In[L] by induction over the visits (In starts at ⊥), so skipping it
+/// is exact: every In/Out state, visit and counter is that of the full
+/// re-extraction.  Phis publish their one location and keep nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -218,6 +240,45 @@ inline void countMerge(MergeOp Op, uint32_t Node, uint64_t &Extrapolations,
 std::vector<std::vector<uint32_t>>
 partitionNodes(const Program &Prog, const SparseGraph &Graph, unsigned Jobs,
                const std::vector<uint32_t> *Restrict);
+
+/// The sparse transfer's output walk (see "Pending locations" above):
+/// visits Defs ∩ (written ∪ Pending) in ascending order, where the written
+/// locations are the keys of \p Overlay (a sorted map keyed by
+/// Domain::Key).  Calls \p Written(L, Val &) for a location the transfer
+/// wrote (the value may be moved out) and \p Passthrough(L) for a pending
+/// one it did not, then leaves the written locations of Defs in
+/// \p Pending: the carry to the next visit.  Defs and Pending are sorted
+/// and duplicate-free.
+template <typename Domain, typename OverlayMap, typename WrittenFn,
+          typename PassthroughFn>
+void walkSparseOutput(OverlayMap &Overlay, const std::vector<LocId> &Defs,
+                      std::vector<LocId> &Pending, WrittenFn Written,
+                      PassthroughFn Passthrough) {
+  std::vector<LocId> Wrote;
+  auto O = Overlay.begin(), OE = Overlay.end();
+  auto P = Pending.begin(), PE = Pending.end();
+  auto D = Defs.begin(), DE = Defs.end();
+  while (O != OE || P != PE) {
+    bool FromOverlay = P == PE || (O != OE && Domain::locOf(O->first) <= *P);
+    LocId L = FromOverlay ? Domain::locOf(O->first) : *P;
+    if (P != PE && *P == L)
+      ++P;
+    D = std::lower_bound(D, DE, L);
+    if (D == DE)
+      break;
+    if (*D == L) {
+      if (FromOverlay) {
+        Wrote.push_back(L);
+        Written(L, O->second);
+      } else {
+        Passthrough(L);
+      }
+    }
+    if (FromOverlay)
+      ++O;
+  }
+  Pending = std::move(Wrote);
+}
 
 /// Union of AccessDefs and AccessUses per function, sorted (the Base
 /// engine's localization filter).
@@ -404,10 +465,12 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     WidenNode[I] = WidenPoint[Graph.anchor(I).value()];
   // Changing arrivals per (node, location) on cycle-closing edges.
   std::vector<FlatMap<LocId, uint32_t>> ArrivalCount(N);
+  // Pending locations per point (phis keep none); see the file comment.
+  std::vector<std::vector<LocId>> PendingLocs(Graph.NumPoints);
 
   // One worklist loop over a closed node set.  Shards touch disjoint
-  // slices of R.In/R.Out/ArrivalCount and the ledger, so concurrent
-  // shard loops share those arrays without synchronization.
+  // slices of R.In/R.Out/ArrivalCount/PendingLocs and the ledger, so
+  // concurrent shard loops share those arrays without synchronization.
   auto RunShard = [&](size_t ShardIdx, const std::vector<uint32_t> &Nodes,
                       std::vector<uint32_t> &Pending) {
     WorkList WL(Prio);
@@ -415,7 +478,7 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     // materialize even with no incoming dependencies.
     for (uint32_t I : Nodes)
       WL.push(I);
-    uint64_t Extrapolations = 0;
+    uint64_t Extrapolations = 0, Extracted = 0, EdgesWalked = 0;
     LoopResult L = drainWorklist(
         WL, ShardIdx, Nodes.size(), Opts.TimeLimitSec, Opts.Bud, Led,
         [&](uint32_t Node) {
@@ -430,9 +493,13 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
               if (const Val *V = D.find(R.In[Node], K))
                 NewOut.set(K, *V);
             } else {
+              std::vector<LocId> &Locs = PendingLocs[Node];
+              std::sort(Locs.begin(), Locs.end());
+              Locs.erase(std::unique(Locs.begin(), Locs.end()), Locs.end());
               NewOut = D.transfer(PointId(Node), R.In[Node],
-                                  Graph.NodeDefs[Node]);
+                                  Graph.NodeDefs[Node], Locs);
             }
+            Extracted += NewOut.size();
             for (const auto &[K, V] : NewOut)
               if (D.publish(R.Out[Node], K, V))
                 Changed.push_back(Domain::locOf(K));
@@ -440,9 +507,9 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
           }
           if (Changed.empty())
             return;
-          Graph.Edges->forEachOut(Node, [&](LocId Loc, uint32_t Dst) {
-            if (!std::binary_search(Changed.begin(), Changed.end(), Loc))
-              return;
+          Graph.Edges->forEachOutOn(Node, Changed, [&](LocId Loc,
+                                                        uint32_t Dst) {
+            ++EdgesWalked;
             typename Domain::Key K = Domain::keyOf(Loc);
             const Val &V = *D.find(R.Out[Node], K);
             // Widening must cut every dependency cycle: it applies (after
@@ -486,9 +553,13 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
               PC.Growth += D.growth(Old, New);
             }
             InDst.set(K, std::move(New));
+            if (!Graph.isPhi(Dst))
+              PendingLocs[Dst].push_back(Loc);
             WL.push(Dst);
           });
         });
+    SPA_OBS_COUNT("fixpoint.extracted", Extracted);
+    SPA_OBS_COUNT("fixpoint.edges_walked", EdgesWalked);
     if (L.Degraded)
       WL.forEachPending([&](uint32_t I) { Pending.push_back(I); });
     return L;

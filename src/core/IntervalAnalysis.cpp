@@ -43,27 +43,14 @@ public:
     return true;
   }
 
-  /// Extracts the output partial state over \p Defs: overlay values where
-  /// written, input passthrough otherwise (the identity on spurious
-  /// definitions).  Consumes the overlay: written values are moved out,
-  /// not copied — this runs once per node visit, so the copy churn of
-  /// points-to vectors inside Value would otherwise dominate allocation.
-  AbsState extract(const std::vector<LocId> &Defs) {
-    AbsState Out;
-    Out.reserve(Defs.size());
-    // Defs is sorted, so each set() appends at the end in O(1).
-    for (LocId L : Defs) {
-      if (Value *OV = Overlay.lookup(L)) {
-        if (!OV->isBot())
-          Out.set(L, std::move(*OV));
-      } else {
-        const Value &V = In.get(L);
-        if (!V.isBot())
-          Out.set(L, V);
-      }
-    }
-    return Out;
-  }
+  /// Extracts the output partial state over Defs ∩ (written ∪ Pending)
+  /// (walkSparseOutput): overlay values where written, input passthrough
+  /// otherwise (the identity on spurious definitions).  Consumes the
+  /// overlay: written values are moved out, not copied — this runs once
+  /// per node visit, so the copy churn of points-to vectors inside Value
+  /// would otherwise dominate allocation.
+  AbsState extract(const std::vector<LocId> &Defs,
+                   std::vector<LocId> &Pending);
 
 private:
   const AbsState &In;
@@ -127,10 +114,11 @@ public:
     applyCommand(Prog, &CG, P, S, Sem);
   }
   AbsState transfer(PointId P, const AbsState &In,
-                    const std::vector<LocId> &Defs) const {
+                    const std::vector<LocId> &Defs,
+                    std::vector<LocId> &Pending) const {
     WorkingState WS(In);
     applyCommand(Prog, &CG, P, WS, Sem);
-    return WS.extract(Defs);
+    return WS.extract(Defs, Pending);
   }
 
   /// Degradation joins the fallback (normally T̂pre, which Section 3.2
@@ -159,6 +147,24 @@ private:
   const AbsState *DegradeTo;
   std::optional<AbsState> Top;
 };
+
+AbsState WorkingState::extract(const std::vector<LocId> &Defs,
+                               std::vector<LocId> &Pending) {
+  // Locations arrive ascending, so each set() appends at the end in O(1).
+  AbsState Out;
+  walkSparseOutput<IntervalDomain>(
+      Overlay, Defs, Pending,
+      [&](LocId L, Value &V) {
+        if (!V.isBot())
+          Out.set(L, std::move(V));
+      },
+      [&](LocId L) {
+        const Value &V = In.get(L);
+        if (!V.isBot())
+          Out.set(L, V);
+      });
+  return Out;
+}
 
 } // namespace
 

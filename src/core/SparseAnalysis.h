@@ -14,8 +14,13 @@
 ///  * an output partial state over its definition set D̂(c).
 ///
 /// A node's transfer re-runs f̂_c on the input buffer; spurious
-/// definitions (D̂ − D) pass their input value through unchanged, which is
-/// exactly why Definition 5 requires D̂ − D ⊆ Û.  Widening applies where a
+/// definitions (D̂ − D) pass their input value through, which is exactly
+/// why Definition 5 requires D̂ − D ⊆ Û.  Output publishing is a weak
+/// join, so a passthrough is re-published only when its input changed
+/// (it was delivered since the node's last visit) or when the transfer
+/// wrote the location at the last visit and no longer does; every other
+/// re-publish would be a no-op (the exactness argument is in
+/// core/Fixpoint.h, "Pending locations").  Widening applies where a
 /// dependency edge closes a cycle (loop-head phis and retreating edges),
 /// mirroring the dense engine's widening points.  The loop is the
 /// domain-independent sparse step of core/Fixpoint.h; runSparseAnalysis

@@ -525,11 +525,22 @@ public:
     DenseView View{S, *this};
     OctTransfer<DenseView>(Prog, Pre, Packs, View).apply(P);
   }
+  /// Output over Defs ∩ (written ∪ Pending) (walkSparseOutput): overlay
+  /// where written, input passthrough otherwise.
   OctState transfer(PointId P, const OctState &In,
-                    const std::vector<LocId> &Defs) const {
+                    const std::vector<LocId> &Defs,
+                    std::vector<LocId> &Pending) const {
     SparseView View{In, *this, {}};
     OctTransfer<SparseView>(Prog, Pre, Packs, View).apply(P);
-    return View.extract(Defs);
+    OctState Out;
+    walkSparseOutput<OctDomain>(
+        View.Overlay, Defs, Pending,
+        [&](LocId L, OctVal &V) { Out.set(keyOf(L), std::move(V)); },
+        [&](LocId L) {
+          if (const OctVal *V = In.lookup(keyOf(L)))
+            Out.set(keyOf(L), *V);
+        });
+    return Out;
   }
 
   /// Degradation binds packs to ⊤: all-⊤ over-approximates every concrete
@@ -586,19 +597,6 @@ private:
       return D.top(P);
     }
     void set(PackId P, OctVal V) { Overlay.set(P, std::move(V)); }
-    /// Output over \p Defs: overlay where written, input passthrough
-    /// otherwise.
-    OctState extract(const std::vector<LocId> &Defs) const {
-      OctState Out;
-      for (LocId DL : Defs) {
-        PackId P = keyOf(DL);
-        if (const OctVal *V = Overlay.lookup(P))
-          Out.set(P, *V);
-        else if (const OctVal *V = In.lookup(P))
-          Out.set(P, *V);
-      }
-      return Out;
-    }
   };
 
   const Program &Prog;

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
+#include <vector>
 
 using namespace spa;
 
@@ -176,6 +178,59 @@ TEST_P(BddStorage, MatchesSetStorage) {
       FromBdd.insert({Src, L.value(), Dst});
     });
     EXPECT_EQ(FromSet, FromBdd) << "source " << Src;
+  }
+}
+
+/// The labeled walk of the sparse fixpoint's delivery loop yields the same
+/// edges on both storages: exactly the out-edges whose label is asked
+/// for.  The set storage keeps its forEachOut order, (L, Dst) ascending.
+TEST_P(BddStorage, LabeledWalkMatchesSetStorage) {
+  Rng R(GetParam() * 211);
+  const uint32_t NumNodes = 40, NumLocs = 24;
+  SetDepStorage SetS(NumNodes);
+  BddDepStorage BddS(NumNodes, NumLocs);
+  for (int I = 0; I < 300; ++I) {
+    uint32_t Src = static_cast<uint32_t>(R.below(NumNodes));
+    uint32_t Dst = static_cast<uint32_t>(R.below(NumNodes));
+    LocId L(static_cast<uint32_t>(R.below(NumLocs)));
+    SetS.add(Src, L, Dst);
+    BddS.add(Src, L, Dst);
+  }
+
+  using Edges = std::vector<std::pair<uint32_t, uint32_t>>;
+  for (uint32_t Src = 0; Src < NumNodes; ++Src) {
+    // Empty, every label, and random ascending subsets (some with labels
+    // the source has no edge on).
+    std::vector<std::vector<LocId>> LabelSets(2);
+    for (uint32_t L = 0; L < NumLocs; ++L)
+      LabelSets[1].push_back(LocId(L));
+    for (int Draw = 0; Draw < 4; ++Draw) {
+      std::vector<LocId> Labels;
+      for (uint32_t L = 0; L < NumLocs; ++L)
+        if (R.chance(25))
+          Labels.push_back(LocId(L));
+      LabelSets.push_back(std::move(Labels));
+    }
+    for (const std::vector<LocId> &Labels : LabelSets) {
+      auto Asked = [&](LocId L) {
+        return std::binary_search(Labels.begin(), Labels.end(), L);
+      };
+      Edges Expected, FromSet, FromBdd;
+      SetS.forEachOut(Src, [&](LocId L, uint32_t Dst) {
+        if (Asked(L))
+          Expected.push_back({L.value(), Dst});
+      });
+      SetS.forEachOutOn(Src, Labels, [&](LocId L, uint32_t Dst) {
+        FromSet.push_back({L.value(), Dst});
+      });
+      BddS.forEachOutOn(Src, Labels, [&](LocId L, uint32_t Dst) {
+        EXPECT_TRUE(Asked(L)) << "unasked label " << L.value();
+        FromBdd.push_back({L.value(), Dst});
+      });
+      EXPECT_EQ(FromSet, Expected) << "source " << Src;
+      std::sort(FromBdd.begin(), FromBdd.end());
+      EXPECT_EQ(FromBdd, Expected) << "source " << Src;
+    }
   }
 }
 

@@ -39,7 +39,8 @@ for ex in loop pointers; do
     phase.depbuild.ssa.seconds phase.depbuild.link.seconds \
     phase.depbuild.bypass.seconds phase.depbuild.storage.seconds \
     phase.fix.seconds phase.total.seconds fixpoint.worklist.pops \
-    fixpoint.visits depgraph.edges depgraph.nodes program.points \
+    fixpoint.visits fixpoint.extracted fixpoint.edges_walked \
+    depgraph.edges depgraph.nodes program.points \
     program.locs mem.peak_rss_kib value.pool.nodes value.pool.hit_rate \
     state.cow.detaches
   if ! grep -q '"traceEvents"' "$WORK/$ex-i-trace.json"; then
@@ -51,7 +52,7 @@ for ex in loop pointers; do
     "$EXAMPLES/$ex.spa" > /dev/null || exit 1
   require_keys "$WORK/$ex-o.json" \
     phase.total.seconds oct.closures oct.packs fixpoint.worklist.pops \
-    mem.peak_rss_kib
+    fixpoint.extracted fixpoint.edges_walked mem.peak_rss_kib
 done
 
 # The octagon run must actually have closed DBMs.

@@ -16,6 +16,7 @@
 #include "TestUtil.h"
 
 #include "core/Analyzer.h"
+#include "interp/Interp.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -269,6 +270,65 @@ TEST(SparseAnalysis, SpuriousDefinitionsPassThrough) {
   // u reads w = 7 through the spurious-definition passthrough.
   EXPECT_EQ(sparseAtExit(*Prog, Run, "main", "main::u").Itv,
             Interval::constant(7));
+}
+
+TEST(SparseAnalysis, StoreWhosePointsToSetGrowsKeepsItsPassthrough) {
+  // The written set of a visit carries to the next one (core/Fixpoint.h,
+  // "Pending locations"): st's store first runs with p -> {a} and writes
+  // a strongly; once p -> {a, b} and 5 is below In[a], the weak store
+  // leaves a unwritten, and a's output becomes the passthrough In[a] = ⊤,
+  // which nothing delivered since and which must still be published.
+  auto Prog = build(R"(
+    fun st(p) {
+      *p = 5;
+      return 0;
+    }
+    fun main() {
+      a = input();
+      b = 0;
+      c = input();
+      if (c > 0) {
+        r = st(&a);
+      }
+      r = st(&b);
+      return a;
+    }
+  )");
+  // main's return statement: its output binds main::$ret.
+  LocId Ret = Prog->function(Prog->mainFunc()).RetSlot;
+  PointId Return;
+  for (uint32_t P = 0; P < Prog->numPoints(); ++P)
+    if (Prog->point(PointId(P)).Cmd.Kind == CmdKind::RetStmt &&
+        Prog->point(PointId(P)).Cmd.Target == Ret)
+      Return = PointId(P);
+  ASSERT_TRUE(Return.isValid());
+  for (bool Bypass : {true, false}) {
+    AnalyzerOptions Opts;
+    Opts.Dep.Bypass = Bypass;
+    AnalysisRun Run = analyzeProgram(*Prog, Opts);
+    EXPECT_EQ(Run.Sparse->Out[Return.value()].get(Ret).Itv, Interval::top())
+        << "bypass " << Bypass;
+
+    // Interpreter soundness: every location a point semantically defines
+    // covers the concrete post-state, on both branches.
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      InterpOptions IOpts;
+      IOpts.InputSeed = Seed;
+      Interp I(*Prog, Run.Pre.CG, IOpts);
+      InterpResult IR = I.run([&](PointId P, const Interp &I) {
+        for (LocId L : Run.DU.Defs[P.value()]) {
+          const CValue &CV = I.varValue(L);
+          if (CV.K != CValue::Kind::Int)
+            continue;
+          EXPECT_TRUE(Run.Sparse->Out[P.value()].get(L).Itv.contains(CV.I))
+              << "sparse misses " << Prog->loc(L).Name << " = " << CV.I
+              << " at " << Prog->pointToString(P) << " (bypass " << Bypass
+              << ", seed " << Seed << ")";
+        }
+      });
+      EXPECT_EQ(IR.Reason, StopReason::Finished);
+    }
+  }
 }
 
 TEST(SparseAnalysis, DefUseChainsLosePrecision) {
