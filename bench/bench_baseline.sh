@@ -112,22 +112,23 @@ if "off" in guard and "on" in guard:
         "degraded": sum(m.get("batch.degraded", 0) for m in guard["on"]),
     }
 
-# Resident-daemon warm-vs-cold ablation: repeat requests answered from
-# the serve cache (byte-identity fast path) vs full re-analysis per
-# request (the --no-incremental ablation).  The ratio is the headline
-# serve_warm_speedup (cold / warm).
+# Resident-daemon memo-vs-cold ablation: byte-identical repeat requests
+# answered from the serve cache's byte memo (no parse, no encode, no
+# fixpoint) vs full re-analysis per request (the --no-incremental
+# ablation).  The ratio is serve_memo_speedup (cold / memo): it times the
+# repeat-request lookup, not re-analysis after an edit.
 srv = {}
 for r in records:
     if r["bench"].startswith("serve:"):
         srv.setdefault(r["bench"][len("serve:"):], []).append(r["metrics"])
 if "cold" in srv and "warm" in srv:
     cold = min(m.get("batch.seconds", 0) for m in srv["cold"])
-    warm = min(m.get("batch.seconds", 0) for m in srv["warm"])
+    memo = min(m.get("batch.seconds", 0) for m in srv["warm"])
     out["serve"] = {
         "seconds_cold": round(cold, 4),
-        "seconds_warm": round(warm, 6),
+        "seconds_memo": round(memo, 6),
     }
-    out["serve_warm_speedup"] = round(cold / warm, 3) if warm > 0 else None
+    out["serve_memo_speedup"] = round(cold / memo, 3) if memo > 0 else None
 
 # Work-stealing shard coordinator gauges (one "shard" record per run).
 shard = [r["metrics"] for r in records if r["bench"] == "shard"]

@@ -177,7 +177,7 @@ int main() {
   // encode, no fixpoint) against a cold service (Incremental off, the
   // --no-incremental ablation) that re-analyzes every request.  Result
   // digests must match exactly; the wall-clock ratio is the
-  // serve_warm_speedup BENCH_pipeline.json reports (docs/SERVER.md).
+  // serve_memo_speedup BENCH_pipeline.json reports (docs/SERVER.md).
   {
     std::vector<serve::AnalyzeRequest> Requests;
     for (const SuiteEntry &E : Suite) {

@@ -182,10 +182,12 @@ std::vector<std::string> computeLines() {
     for (const auto &[Engine, EName] : Engines) {
       AnalyzerOptions AOpts;
       AOpts.Engine = Engine;
-      Lines.push_back(intervalLine(In.Name, EName, analyzeProgram(Prog, AOpts)));
+      Lines.push_back(
+          intervalLine(In.Name, EName, analyzeProgram(Prog, AOpts)));
       OctOptions OOpts;
       OOpts.Engine = Engine;
-      Lines.push_back(octagonLine(In.Name, EName, runOctAnalysis(Prog, OOpts)));
+      Lines.push_back(
+          octagonLine(In.Name, EName, runOctAnalysis(Prog, OOpts)));
     }
   }
   for (const SuiteEntry &E : paperSuite(SuiteScale)) {
@@ -217,8 +219,9 @@ std::string keyOf(const std::string &Line) {
 
 TEST(FixpointGolden, EveryEngineAndDomainMatchesTheCheckedInDigests) {
   std::vector<std::string> Now = computeLines();
-  ASSERT_EQ(Now.size(), 6u * inputs().size() +
-                            LinesPerSuiteProgram * paperSuite(SuiteScale).size());
+  ASSERT_EQ(Now.size(),
+            6u * inputs().size() +
+                LinesPerSuiteProgram * paperSuite(SuiteScale).size());
 
   if (const char *V = std::getenv("SPA_UPDATE_GOLDEN")) {
     std::string Dir = std::string(V) == "1" ? SPA_GOLDEN_DIR : V;
