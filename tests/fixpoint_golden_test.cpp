@@ -17,8 +17,17 @@
 /// 16 paperSuite(0.02) programs on the sparse engine only, where per-visit
 /// shortcuts of the sparse step meet call summaries, SCCs and many
 /// locations: interval with bypass on, interval with bypass off (the
-/// checker's graph), and octagon.  Regenerate the file only for an
-/// *intentional* result change with
+/// checker's graph), and octagon.
+///
+/// Every bypass-on sparse run also gets a `sparse-keyed` line that does
+/// not depend on how graph nodes are numbered: point states by point id,
+/// phi states keyed by (join point, location) for the phis whose In or
+/// Out is non-empty, and the visits minus the phis with no dependency
+/// edge (each such phi runs exactly once, on an empty input).  Dropping
+/// or renumbering edgeless phis leaves these lines unchanged; anything
+/// that moves a point state, a live phi state or a visit to a node with
+/// an edge changes them.  Regenerate the file only for an *intentional*
+/// result change with
 ///
 ///   SPA_UPDATE_GOLDEN=1 ./fixpoint_golden_test      (writes tests/golden)
 ///   SPA_UPDATE_GOLDEN=<dir> ./fixpoint_golden_test  (writes <dir>)
@@ -41,6 +50,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace spa;
@@ -161,9 +171,58 @@ std::string octagonLine(const std::string &Name, const char *EName,
   return line(Name, EName, "octagon", DO, Visits);
 }
 
-/// The paperSuite(0.02) programs, sparse engine only.
+/// The renumbering-invariant line of a sparse run over \p G (see the file
+/// comment).
+template <typename StateT, typename StrFn>
+std::string keyedLine(const std::string &Name, const char *Domain,
+                      const SparseGraph &G, const SparseFixResult<StateT> &R,
+                      StrFn Str) {
+  Digest D;
+  for (uint32_t P = 0; P < G.NumPoints; ++P) {
+    D.add("in" + std::to_string(P) + ":" + Str(R.In[P]));
+    D.add("out" + std::to_string(P) + ":" + Str(R.Out[P]));
+  }
+  std::vector<bool> HasEdge(G.numNodes(), false);
+  for (uint32_t N = 0; N < G.numNodes(); ++N)
+    G.Edges->forEachOut(N, [&](LocId, uint32_t Dst) {
+      HasEdge[N] = true;
+      HasEdge[Dst] = true;
+    });
+  uint64_t Edgeless = 0;
+  std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> Live;
+  for (uint32_t I = 0; I < G.Phis.size(); ++I) {
+    uint32_t Node = G.NumPoints + I;
+    Edgeless += !HasEdge[Node];
+    if (!R.In[Node].empty() || !R.Out[Node].empty())
+      Live.emplace_back(G.Phis[I].At.value(), G.Phis[I].L.value(), Node);
+  }
+  std::sort(Live.begin(), Live.end());
+  for (const auto &[At, L, Node] : Live)
+    D.add("phi" + std::to_string(At) + "," + std::to_string(L) + ":" +
+          Str(R.In[Node]) + "|" + Str(R.Out[Node]));
+  uint64_t Visits = R.Visits - Edgeless;
+  D.add(std::to_string(Visits));
+  return line(Name, "sparse-keyed", Domain, D, Visits);
+}
+
+std::string keyedIntervalLine(const std::string &Name,
+                              const AnalysisRun &Itv) {
+  return keyedLine(Name, "interval", *Itv.Graph, *Itv.Sparse,
+                   [](const AbsState &S) { return S.str(); });
+}
+
+std::string keyedOctagonLine(const std::string &Name, const OctRun &Oct) {
+  return keyedLine(Name, "octagon", *Oct.Graph, *Oct.Sparse, octStr);
+}
+
+/// Lines per input: three engines by two domains, plus the two keyed
+/// lines of the (bypass-on) sparse runs.
+constexpr size_t LinesPerInput = 8;
+
+/// The paperSuite(0.02) programs, sparse engine only: interval bypass on
+/// and its keyed line, interval bypass off, octagon and its keyed line.
 constexpr double SuiteScale = 0.02;
-constexpr size_t LinesPerSuiteProgram = 3;
+constexpr size_t LinesPerSuiteProgram = 5;
 
 /// One line per (program, engine, domain): "<prog> <engine> <domain>
 /// <digest> <visits>".
@@ -182,12 +241,16 @@ std::vector<std::string> computeLines() {
     for (const auto &[Engine, EName] : Engines) {
       AnalyzerOptions AOpts;
       AOpts.Engine = Engine;
-      Lines.push_back(
-          intervalLine(In.Name, EName, analyzeProgram(Prog, AOpts)));
+      AnalysisRun Itv = analyzeProgram(Prog, AOpts);
+      Lines.push_back(intervalLine(In.Name, EName, Itv));
       OctOptions OOpts;
       OOpts.Engine = Engine;
-      Lines.push_back(
-          octagonLine(In.Name, EName, runOctAnalysis(Prog, OOpts)));
+      OctRun Oct = runOctAnalysis(Prog, OOpts);
+      Lines.push_back(octagonLine(In.Name, EName, Oct));
+      if (Engine == EngineKind::Sparse) {
+        Lines.push_back(keyedIntervalLine(In.Name, Itv));
+        Lines.push_back(keyedOctagonLine(In.Name, Oct));
+      }
     }
   }
   for (const SuiteEntry &E : paperSuite(SuiteScale)) {
@@ -198,11 +261,15 @@ std::vector<std::string> computeLines() {
       continue;
     const Program &Prog = *B.Prog;
     AnalyzerOptions AOpts;
-    Lines.push_back(intervalLine(Name, "sparse", analyzeProgram(Prog, AOpts)));
+    AnalysisRun Itv = analyzeProgram(Prog, AOpts);
+    Lines.push_back(intervalLine(Name, "sparse", Itv));
+    Lines.push_back(keyedIntervalLine(Name, Itv));
     AOpts.Dep.Bypass = false;
     Lines.push_back(
         intervalLine(Name, "sparse-nobypass", analyzeProgram(Prog, AOpts)));
-    Lines.push_back(octagonLine(Name, "sparse", runOctAnalysis(Prog, {})));
+    OctRun Oct = runOctAnalysis(Prog, {});
+    Lines.push_back(octagonLine(Name, "sparse", Oct));
+    Lines.push_back(keyedOctagonLine(Name, Oct));
   }
   return Lines;
 }
@@ -220,7 +287,7 @@ std::string keyOf(const std::string &Line) {
 TEST(FixpointGolden, EveryEngineAndDomainMatchesTheCheckedInDigests) {
   std::vector<std::string> Now = computeLines();
   ASSERT_EQ(Now.size(),
-            6u * inputs().size() +
+            LinesPerInput * inputs().size() +
                 LinesPerSuiteProgram * paperSuite(SuiteScale).size());
 
   if (const char *V = std::getenv("SPA_UPDATE_GOLDEN")) {
