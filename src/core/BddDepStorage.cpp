@@ -54,8 +54,7 @@ bool BddDepStorage::add(uint32_t Src, LocId L, uint32_t Dst) {
   return true;
 }
 
-void BddDepStorage::forEachOut(
-    uint32_t Src, const std::function<void(LocId, uint32_t)> &F) const {
+void BddDepStorage::forEachOut(uint32_t Src, EdgeFn F) const {
   // Fix the source bits, then enumerate (target, location) models.
   if (CofactorCache.empty())
     CofactorCache.assign(1u << SrcBits, BddRef(UINT32_MAX));
@@ -87,9 +86,9 @@ void BddDepStorage::forEachOut(
                    });
 }
 
-void BddDepStorage::forEachOutOn(
-    uint32_t Src, const std::vector<LocId> &Labels,
-    const std::function<void(LocId, uint32_t)> &F) const {
+void BddDepStorage::forEachOutOn(uint32_t Src,
+                                 const std::vector<LocId> &Labels,
+                                 EdgeFn F) const {
   forEachOut(Src, [&](LocId L, uint32_t Dst) {
     if (std::binary_search(Labels.begin(), Labels.end(), L))
       F(L, Dst);

@@ -31,14 +31,11 @@ public:
   BddDepStorage(uint32_t NumNodes, uint32_t NumLocs);
 
   bool add(uint32_t Src, LocId L, uint32_t Dst) override;
-  void forEachOut(
-      uint32_t Src,
-      const std::function<void(LocId, uint32_t)> &F) const override;
+  void forEachOut(uint32_t Src, EdgeFn F) const override;
   /// Filters the forEachOut walk: models are enumerated by target first,
   /// so the labels cannot be looked up directly.
-  void forEachOutOn(
-      uint32_t Src, const std::vector<LocId> &Labels,
-      const std::function<void(LocId, uint32_t)> &F) const override;
+  void forEachOutOn(uint32_t Src, const std::vector<LocId> &Labels,
+                    EdgeFn F) const override;
   uint64_t edgeCount() const override { return Edges; }
   /// Size of the *live* relation: nodes reachable from the root, at the
   /// node-record plus unique-table cost per node.  Dead intermediates and

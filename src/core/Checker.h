@@ -49,10 +49,13 @@ struct CheckerSummary {
   unsigned numAlarms() const; ///< Alarm + DefiniteOverrun.
 };
 
-/// Checks every dereference in \p Prog against the states of \p Run
-/// (which must be a Sparse run built with bypass disabled, so the
-/// pointer operands are present in the nodes' input buffers; the facade
-/// below handles that).
+/// Checks every dereference in \p Prog against the states of \p Run, a
+/// Sparse run.  `spa-analyze --check` and the facade below check on the
+/// bypass-off graph.  spa-serve checks on its bypass-on run: the checker
+/// reads pointer operands only at points that use them, which the
+/// contraction keeps, so those verdicts are sound too, but they can
+/// differ from the bypass-off ones either way, because the two graphs
+/// widen block-size bounds differently (docs/SERVER.md).
 CheckerSummary checkBufferOverruns(const Program &Prog,
                                    const AnalysisRun &Run);
 

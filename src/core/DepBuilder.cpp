@@ -164,6 +164,7 @@ public:
     if (Contract) {
       SPA_OBS_TRACE("bypass");
       runBypass(NumLocs);
+      dropEdgelessPhis();
       Graph.BypassSeconds = Lap();
     }
 
@@ -180,6 +181,7 @@ public:
 
     SPA_OBS_GAUGE_SET("depgraph.nodes", Graph.numNodes());
     SPA_OBS_GAUGE_SET("depgraph.phis", Graph.Phis.size());
+    SPA_OBS_GAUGE_SET("depgraph.phis_dropped", Graph.PhisDropped);
     SPA_OBS_GAUGE_SET("depgraph.edges", Graph.Edges->edgeCount());
     SPA_OBS_GAUGE_SET("depgraph.edges_before_bypass",
                       Graph.EdgesBeforeBypass);
@@ -504,17 +506,11 @@ private:
       TotalEdges += O.Edges.size();
     }
     Graph.Phis.reserve(TotalPhis);
-    Graph.NodeDefs.reserve(Graph.NumPoints + TotalPhis);
-    Graph.NodeUses.reserve(Graph.NumPoints + TotalPhis);
     EdgeList.reserve(EdgeList.size() + TotalEdges);
     for (const FuncOut &O : Outs) {
       uint32_t Base =
           Graph.NumPoints + static_cast<uint32_t>(Graph.Phis.size());
-      for (const PhiNode &Ph : O.Phis) {
-        Graph.Phis.push_back(Ph);
-        Graph.NodeDefs.push_back({Ph.L});
-        Graph.NodeUses.push_back({Ph.L});
-      }
+      Graph.Phis.insert(Graph.Phis.end(), O.Phis.begin(), O.Phis.end());
       auto Remap = [&](uint32_t N) {
         return N >= PhiLocalBase ? Base + (N - PhiLocalBase) : N;
       };
@@ -682,6 +678,39 @@ private:
     std::sort(EdgeList.begin(), EdgeList.end());
     Graph.EdgesBeforeBypass = Before;
     Graph.BypassRemoved = Before - EdgeList.size();
+  }
+
+  /// Drops the phis the contraction left with no edge and renumbers the
+  /// survivors in their old order (points keep their ids).  A dropped phi
+  /// would only run once on an empty input and publish nothing.  The map
+  /// is monotone, so EdgeList stays sorted by (Src, L, Dst) and the
+  /// fixpoint pops the surviving nodes in the same (priority, id) order
+  /// (DESIGN.md §5).
+  void dropEdgelessPhis() {
+    uint32_t NP = Graph.NumPoints;
+    std::vector<uint32_t> NewId(Graph.Phis.size(), UINT32_MAX);
+    for (const RawEdge &E : EdgeList) {
+      if (E.Src >= NP)
+        NewId[E.Src - NP] = 0;
+      if (E.Dst >= NP)
+        NewId[E.Dst - NP] = 0;
+    }
+    uint32_t Kept = 0;
+    for (uint32_t I = 0; I < Graph.Phis.size(); ++I) {
+      if (NewId[I] == UINT32_MAX)
+        continue;
+      NewId[I] = NP + Kept;
+      Graph.Phis[Kept++] = Graph.Phis[I];
+    }
+    Graph.PhisDropped = Graph.Phis.size() - Kept;
+    Graph.Phis.resize(Kept);
+    Graph.Phis.shrink_to_fit();
+    for (RawEdge &E : EdgeList) {
+      if (E.Src >= NP)
+        E.Src = NewId[E.Src - NP];
+      if (E.Dst >= NP)
+        E.Dst = NewId[E.Dst - NP];
+    }
   }
 
   /// Contracts the pseudo-occurrences of location \p L.  [Begin, End)

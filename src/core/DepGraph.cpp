@@ -21,15 +21,14 @@ bool SetDepStorage::add(uint32_t Src, LocId L, uint32_t Dst) {
   return true;
 }
 
-void SetDepStorage::forEachOut(
-    uint32_t Src, const std::function<void(LocId, uint32_t)> &F) const {
+void SetDepStorage::forEachOut(uint32_t Src, EdgeFn F) const {
   for (const Edge &E : Out[Src])
     F(E.L, E.Dst);
 }
 
-void SetDepStorage::forEachOutOn(
-    uint32_t Src, const std::vector<LocId> &Labels,
-    const std::function<void(LocId, uint32_t)> &F) const {
+void SetDepStorage::forEachOutOn(uint32_t Src,
+                                 const std::vector<LocId> &Labels,
+                                 EdgeFn F) const {
   const std::vector<Edge> &V = Out[Src];
   auto It = V.begin();
   for (LocId L : Labels) {
@@ -122,8 +121,7 @@ ReverseDepIndex::ReverseDepIndex(const SparseGraph &Graph) {
     });
 }
 
-void ReverseDepIndex::forEachIn(
-    uint32_t Dst, const std::function<void(LocId, uint32_t)> &F) const {
+void ReverseDepIndex::forEachIn(uint32_t Dst, EdgeFn F) const {
   for (const InEdge &E : In[Dst])
     F(E.L, E.Src);
 }

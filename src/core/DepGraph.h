@@ -15,6 +15,8 @@
 /// (j, l) joins the values of l arriving at join point j and passes the
 /// result through, which is what keeps the number of dependency edges
 /// near-linear (Section 5: "SSA ... reduces the size of def-use chains").
+/// After the bypass contraction the graph is dense: phis left with no
+/// edge are dropped and the survivors renumbered in order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,12 +26,36 @@
 #include "ir/Program.h"
 #include "support/Ids.h"
 
+#include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 namespace spa {
+
+/// A non-owning reference to an edge callback F(LocId L, uint32_t Node).
+/// The edge walks take one instead of a std::function, so a walk
+/// allocates nothing (the fixpoint walks once per visit); the callable
+/// must outlive the call.
+class EdgeFn {
+public:
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, EdgeFn> &&
+             std::invocable<F &, LocId, uint32_t>)
+  EdgeFn(F &&Fn)
+      : Obj(const_cast<void *>(static_cast<const void *>(&Fn))),
+        Call([](void *O, LocId L, uint32_t Node) {
+          (*static_cast<std::remove_reference_t<F> *>(O))(L, Node);
+        }) {}
+
+  void operator()(LocId L, uint32_t Node) const { Call(Obj, L, Node); }
+
+private:
+  void *Obj;
+  void (*Call)(void *, LocId, uint32_t);
+};
 
 /// Storage behind the ternary dependency relation.  Node ids are dense
 /// indices (program points first, then phi nodes).
@@ -40,17 +66,15 @@ public:
   /// Inserts edge (Src, L, Dst); returns true if it was new.
   virtual bool add(uint32_t Src, LocId L, uint32_t Dst) = 0;
 
-  /// Invokes \p F for every out-edge of \p Src.
-  virtual void
-  forEachOut(uint32_t Src,
-             const std::function<void(LocId, uint32_t)> &F) const = 0;
+  /// Invokes \p F(L, Dst) for every out-edge of \p Src.
+  virtual void forEachOut(uint32_t Src, EdgeFn F) const = 0;
 
-  /// Invokes \p F for every out-edge of \p Src labeled with a location of
-  /// \p Labels (ascending, duplicate-free): the sparse fixpoint's delivery
-  /// walk, which visits only the labels whose value changed.
-  virtual void
-  forEachOutOn(uint32_t Src, const std::vector<LocId> &Labels,
-               const std::function<void(LocId, uint32_t)> &F) const = 0;
+  /// Invokes \p F(L, Dst) for every out-edge of \p Src labeled with a
+  /// location of \p Labels (ascending, duplicate-free): the sparse
+  /// fixpoint's delivery walk, which visits only the labels whose value
+  /// changed.
+  virtual void forEachOutOn(uint32_t Src, const std::vector<LocId> &Labels,
+                            EdgeFn F) const = 0;
 
   virtual uint64_t edgeCount() const = 0;
 
@@ -66,13 +90,10 @@ public:
   explicit SetDepStorage(uint32_t NumNodes) : Out(NumNodes) {}
 
   bool add(uint32_t Src, LocId L, uint32_t Dst) override;
-  void forEachOut(
-      uint32_t Src,
-      const std::function<void(LocId, uint32_t)> &F) const override;
+  void forEachOut(uint32_t Src, EdgeFn F) const override;
   /// One forward lower_bound per label into the sorted (L, Dst) list.
-  void forEachOutOn(
-      uint32_t Src, const std::vector<LocId> &Labels,
-      const std::function<void(LocId, uint32_t)> &F) const override;
+  void forEachOutOn(uint32_t Src, const std::vector<LocId> &Labels,
+                    EdgeFn F) const override;
   uint64_t edgeCount() const override { return Edges; }
   uint64_t memoryBytes() const override;
 
@@ -106,10 +127,10 @@ struct SparseGraph {
   std::vector<PhiNode> Phis; ///< Node id = NumPoints + phi index.
   std::unique_ptr<DepStorage> Edges;
 
-  /// Per-node defs (the partial state a node's output holds) and uses
-  /// (the partial state its input buffer assembles).  For program points
-  /// these are the DefUseInfo node sets; a phi node defs/uses exactly its
-  /// location.
+  /// Per-point defs (the partial state a point's output holds) and uses
+  /// (the partial state its input buffer assembles): the DefUseInfo node
+  /// sets, indexed by point id.  A phi node defs and uses exactly its
+  /// location, so it carries no vectors; defs()/uses() cover every node.
   std::vector<std::vector<LocId>> NodeDefs, NodeUses;
 
   // Construction statistics (the Dep column of Tables 2 and 3).
@@ -121,10 +142,24 @@ struct SparseGraph {
          StorageSeconds = 0;
   uint64_t EdgesBeforeBypass = 0;
   uint64_t BypassRemoved = 0;
+  /// Phis the contraction left with no edge, dropped before numbering
+  /// (0 without bypass).
+  uint64_t PhisDropped = 0;
 
   size_t numNodes() const { return NumPoints + Phis.size(); }
   bool isPhi(uint32_t Node) const { return Node >= NumPoints; }
   const PhiNode &phi(uint32_t Node) const { return Phis[Node - NumPoints]; }
+
+  /// Def and use set of any node: NodeDefs/NodeUses for a point, {L} for
+  /// a phi of location L.
+  std::span<const LocId> defs(uint32_t Node) const {
+    return isPhi(Node) ? std::span<const LocId>(&phi(Node).L, 1)
+                       : std::span<const LocId>(NodeDefs[Node]);
+  }
+  std::span<const LocId> uses(uint32_t Node) const {
+    return isPhi(Node) ? std::span<const LocId>(&phi(Node).L, 1)
+                       : std::span<const LocId>(NodeUses[Node]);
+  }
 
   /// The program point a node evaluates at (phi nodes: their join point).
   PointId anchor(uint32_t Node) const {
@@ -156,8 +191,8 @@ class ReverseDepIndex {
 public:
   explicit ReverseDepIndex(const SparseGraph &Graph);
 
-  void forEachIn(uint32_t Dst,
-                 const std::function<void(LocId, uint32_t)> &F) const;
+  /// Invokes \p F(L, Src) for every in-edge of \p Dst.
+  void forEachIn(uint32_t Dst, EdgeFn F) const;
 
   uint64_t edgeCount() const { return Edges; }
 

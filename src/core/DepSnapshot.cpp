@@ -13,7 +13,9 @@ namespace {
 
 /// Payload-internal format version, independent of the snapshot
 /// container version (the container only promises an opaque byte range).
-constexpr uint32_t DepPayloadVersion = 1;
+/// Version 2: def/use lists for points only (a phi's are its location),
+/// the dense node numbering, and PhisDropped in the trailer.
+constexpr uint32_t DepPayloadVersion = 2;
 
 void putU32(std::vector<uint8_t> &B, uint32_t V) {
   for (int I = 0; I < 4; ++I)
@@ -108,10 +110,10 @@ std::vector<uint8_t> encodeDepGraph(const SparseGraph &Graph,
     putU32(B, P.L.value());
   }
 
-  for (const auto &Defs : Graph.NodeDefs)
-    writeLocList(B, Defs);
-  for (const auto &Uses : Graph.NodeUses)
-    writeLocList(B, Uses);
+  for (uint32_t P = 0; P < Graph.NumPoints; ++P)
+    writeLocList(B, Graph.NodeDefs[P]);
+  for (uint32_t P = 0; P < Graph.NumPoints; ++P)
+    writeLocList(B, Graph.NodeUses[P]);
 
   // Edges per source node, count-prefixed.  BDD storage enumerates in
   // its own internal order, so edges are sorted here to make the bytes
@@ -132,6 +134,7 @@ std::vector<uint8_t> encodeDepGraph(const SparseGraph &Graph,
 
   putU64(B, Graph.EdgesBeforeBypass);
   putU64(B, Graph.BypassRemoved);
+  putU64(B, Graph.PhisDropped);
   return B;
 }
 
@@ -173,14 +176,14 @@ DepSnapshotResult decodeDepGraph(const Program &Prog,
   }
 
   size_t NumNodes = Res.Graph.numNodes();
-  Res.Graph.NodeDefs.resize(NumNodes);
-  Res.Graph.NodeUses.resize(NumNodes);
-  for (size_t I = 0; I < NumNodes; ++I)
+  Res.Graph.NodeDefs.resize(NumPoints);
+  Res.Graph.NodeUses.resize(NumPoints);
+  for (size_t I = 0; I < NumPoints; ++I)
     if (!readLocList(R, NumLocs, Res.Graph.NodeDefs[I]))
-      return Fail("bad def list for node " + std::to_string(I));
-  for (size_t I = 0; I < NumNodes; ++I)
+      return Fail("bad def list for point " + std::to_string(I));
+  for (size_t I = 0; I < NumPoints; ++I)
     if (!readLocList(R, NumLocs, Res.Graph.NodeUses[I]))
-      return Fail("bad use list for node " + std::to_string(I));
+      return Fail("bad use list for point " + std::to_string(I));
 
   auto Storage = std::make_unique<SetDepStorage>(
       static_cast<uint32_t>(NumNodes));
@@ -202,6 +205,7 @@ DepSnapshotResult decodeDepGraph(const Program &Prog,
 
   Res.Graph.EdgesBeforeBypass = R.u64();
   Res.Graph.BypassRemoved = R.u64();
+  Res.Graph.PhisDropped = R.u64();
   if (!R.Ok)
     return Fail("truncated trailer");
   if (R.Pos != Payload.size())

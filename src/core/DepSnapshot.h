@@ -22,6 +22,11 @@
 /// storage (SetDepStorage): the edge *relation* is what the fixpoint
 /// consumes, and it is representation-independent.
 ///
+/// The payload carries its own format version; a payload of any other
+/// version (such as version 1, which stored a def/use list per phi and
+/// the phis the contraction leaves edgeless) fails to decode, so
+/// depSnapshotUsable refuses it and the consumer rebuilds the graph.
+///
 /// The decoder follows the snapshot loader's discipline: every count and
 /// id is bounds-checked against \p Prog before use, trailing bytes are an
 /// error, and malformed input yields an error string — never UB.  The

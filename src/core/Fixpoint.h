@@ -79,6 +79,13 @@
 /// is exact: every In/Out state, visit and counter is that of the full
 /// re-extraction.  Phis publish their one location and keep nothing.
 ///
+/// Phi values: a phi defines and uses exactly its location, so during
+/// the loop its input and output are one optional value each in flat
+/// per-phi arrays (written only by the shard that owns the phi, like
+/// R.In/R.Out), not state maps; its visit is publishValue, the value form
+/// of Domain::publish.  They move into R.In/R.Out once, after the loop
+/// and before degradation, so results keep their shape.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPA_CORE_FIXPOINT_H
@@ -98,6 +105,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace spa {
@@ -431,6 +439,21 @@ void runDenseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   SPA_OBS_GAUGE_SET("fixpoint.state_entries", R.StateEntries);
 }
 
+/// Domain::publish on one value slot (empty = absent): the weak join that
+/// makes a phi's output.  A phi's input is never an absent or (interval)
+/// bottom value, so this is exactly the state-level publish.
+template <typename Val>
+bool publishValue(std::optional<Val> &Slot, const Val &V) {
+  if (!Slot) {
+    Slot = V;
+    return true;
+  }
+  if (V.leq(*Slot))
+    return false;
+  *Slot = Slot->join(V);
+  return true;
+}
+
 /// The sparse step: input and output buffers per dependency-graph node.
 template <typename Domain>
 void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
@@ -438,10 +461,17 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
                        const SparseOptions &Opts,
                        SparseFixResult<typename Domain::State> &R) {
   using State = typename Domain::State;
+  using Key = typename Domain::Key;
   using Val = typename Domain::Val;
   size_t N = Graph.numNodes();
-  R.In.resize(N);
-  R.Out.resize(N);
+  uint32_t NP = Graph.NumPoints;
+  // Points keep state maps.  A phi's input and output are one value each
+  // (see "Phi values" in the file comment), moved into R.In/R.Out once
+  // the loop ends.
+  R.In.resize(NP);
+  R.Out.resize(NP);
+  std::vector<std::optional<Val>> PhiIn(Graph.Phis.size()),
+      PhiOut(Graph.Phis.size());
   // One ledger row per graph node, written only by the shard that owns
   // the node, so counts are race-free and jobs-independent.
   obs::Ledger *Led = obs::LedgerEnabled ? Opts.Led : nullptr;
@@ -466,11 +496,12 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   // Changing arrivals per (node, location) on cycle-closing edges.
   std::vector<FlatMap<LocId, uint32_t>> ArrivalCount(N);
   // Pending locations per point (phis keep none); see the file comment.
-  std::vector<std::vector<LocId>> PendingLocs(Graph.NumPoints);
+  std::vector<std::vector<LocId>> PendingLocs(NP);
 
   // One worklist loop over a closed node set.  Shards touch disjoint
-  // slices of R.In/R.Out/ArrivalCount/PendingLocs and the ledger, so
-  // concurrent shard loops share those arrays without synchronization.
+  // slices of R.In/R.Out/PhiIn/PhiOut/ArrivalCount/PendingLocs and the
+  // ledger, so concurrent shard loops share those arrays without
+  // synchronization.
   auto RunShard = [&](size_t ShardIdx, const std::vector<uint32_t> &Nodes,
                       std::vector<uint32_t> &Pending) {
     WorkList WL(Prio);
@@ -479,45 +510,53 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     for (uint32_t I : Nodes)
       WL.push(I);
     uint64_t Extrapolations = 0, Extracted = 0, EdgesWalked = 0;
+    std::vector<LocId> Changed; // The visited node's grown locations.
     LoopResult L = drainWorklist(
         WL, ShardIdx, Nodes.size(), Opts.TimeLimitSec, Opts.Bud, Led,
         [&](uint32_t Node) {
           // Transfer, then publish the locations whose output grew.
-          std::vector<LocId> Changed;
+          Changed.clear();
+          bool IsPhi = Graph.isPhi(Node);
           {
             auto Cost = D.cost();
-            State NewOut;
-            if (Graph.isPhi(Node)) {
+            if (IsPhi) {
               // A phi is the identity on its location.
-              typename Domain::Key K = Domain::keyOf(Graph.phi(Node).L);
-              if (const Val *V = D.find(R.In[Node], K))
-                NewOut.set(K, *V);
+              if (const std::optional<Val> &In = PhiIn[Node - NP]) {
+                ++Extracted;
+                if (publishValue(PhiOut[Node - NP], *In))
+                  Changed.push_back(Graph.phi(Node).L);
+              }
             } else {
               std::vector<LocId> &Locs = PendingLocs[Node];
               std::sort(Locs.begin(), Locs.end());
               Locs.erase(std::unique(Locs.begin(), Locs.end()), Locs.end());
-              NewOut = D.transfer(PointId(Node), R.In[Node],
-                                  Graph.NodeDefs[Node], Locs);
+              State NewOut = D.transfer(PointId(Node), R.In[Node],
+                                        Graph.NodeDefs[Node], Locs);
+              Extracted += NewOut.size();
+              for (const auto &[K, V] : NewOut)
+                if (D.publish(R.Out[Node], K, V))
+                  Changed.push_back(Domain::locOf(K));
             }
-            Extracted += NewOut.size();
-            for (const auto &[K, V] : NewOut)
-              if (D.publish(R.Out[Node], K, V))
-                Changed.push_back(Domain::locOf(K));
             Cost.charge(Led, Node, /*JournalBurst=*/true);
           }
           if (Changed.empty())
             return;
+          // A phi's out-edges all carry its location.
+          const Val *PhiV = IsPhi ? &*PhiOut[Node - NP] : nullptr;
           Graph.Edges->forEachOutOn(Node, Changed, [&](LocId Loc,
                                                         uint32_t Dst) {
             ++EdgesWalked;
-            typename Domain::Key K = Domain::keyOf(Loc);
-            const Val &V = *D.find(R.Out[Node], K);
+            Key K = Domain::keyOf(Loc);
+            const Val &V = IsPhi ? *PhiV : *D.find(R.Out[Node], K);
             // Widening must cut every dependency cycle: it applies (after
             // the delay) at loop-head/recursion nodes and on retreating
             // edges (source scheduled at or after the target).
             bool CutsCycle = WidenNode[Dst] || Prio[Node] >= Prio[Dst];
-            State &InDst = R.In[Dst];
-            const Val *Old = D.find(InDst, K);
+            std::optional<Val> *PhiDst =
+                Graph.isPhi(Dst) ? &PhiIn[Dst - NP] : nullptr;
+            const Val *Old = !PhiDst   ? D.find(R.In[Dst], K)
+                             : *PhiDst ? &**PhiDst
+                                       : nullptr;
             MergeOp Op = MergeOp::Join;
             if (CutsCycle && Old) {
               const uint32_t *C = ArrivalCount[Dst].lookup(Loc);
@@ -552,9 +591,12 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
               ++PC.Deliveries;
               PC.Growth += D.growth(Old, New);
             }
-            InDst.set(K, std::move(New));
-            if (!Graph.isPhi(Dst))
+            if (PhiDst) {
+              *PhiDst = std::move(New);
+            } else {
+              R.In[Dst].set(K, std::move(New));
               PendingLocs[Dst].push_back(Loc);
+            }
             WL.push(Dst);
           });
         });
@@ -585,9 +627,21 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     R.Degraded |= L.Degraded;
   }
 
+  // The phi values become one-entry states, once.
+  R.In.resize(N);
+  R.Out.resize(N);
+  for (uint32_t I = 0; I < Graph.Phis.size(); ++I) {
+    Key K = Domain::keyOf(Graph.Phis[I].L);
+    if (PhiIn[I])
+      R.In[NP + I].set(K, std::move(*PhiIn[I]));
+    if (PhiOut[I])
+      R.Out[NP + I].set(K, std::move(*PhiOut[I]));
+  }
+  std::vector<std::optional<Val>>().swap(PhiIn);
+  std::vector<std::optional<Val>>().swap(PhiOut);
+
   if (R.Degraded) {
-    // Affected nodes degrade on their use sets (In) and def sets (Out);
-    // a phi on its one location.
+    // Affected nodes degrade on their use sets (In) and def sets (Out).
     std::vector<uint32_t> Pending;
     for (const std::vector<uint32_t> &P : ShardPending)
       Pending.insert(Pending.end(), P.begin(), P.end());
@@ -597,14 +651,9 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     degradeAffected(N, Pending, Domain::JournalBase + 2, ForEachSucc,
                     [&](uint32_t Node) {
                       R.DegradedNodeIds.push_back(Node);
-                      if (Graph.isPhi(Node)) {
-                        D.degrade(R.In[Node], Graph.phi(Node).L);
-                        D.degrade(R.Out[Node], Graph.phi(Node).L);
-                        return;
-                      }
-                      for (LocId L : Graph.NodeUses[Node])
+                      for (LocId L : Graph.uses(Node))
                         D.degrade(R.In[Node], L);
-                      for (LocId L : Graph.NodeDefs[Node])
+                      for (LocId L : Graph.defs(Node))
                         D.degrade(R.Out[Node], L);
                     });
   }

@@ -124,8 +124,7 @@ void hashCommand(Fnv &F, const Command &C,
   }
 }
 
-void hashLocList(Fnv &F, const Program &Prog,
-                 const std::vector<LocId> &Ls) {
+void hashLocList(Fnv &F, const Program &Prog, std::span<const LocId> Ls) {
   F.u32(static_cast<uint32_t>(Ls.size()));
   for (LocId L : Ls) {
     F.u32(L.value());
@@ -239,8 +238,8 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
           }
         }
       }
-      hashLocList(F, Prog, Graph.NodeDefs[Node]);
-      hashLocList(F, Prog, Graph.NodeUses[Node]);
+      hashLocList(F, Prog, Graph.defs(Node));
+      hashLocList(F, Prog, Graph.uses(Node));
       F.u8(WidenPoint[Graph.anchor(Node).value()] ? 1 : 0);
       F.u32(RankOf(Prio[Node]));
 
@@ -364,12 +363,15 @@ Service::Service(ServiceOptions O) : Opts(std::move(O)) {
   // components, and those only separate under the bypass contraction:
   // without it every local threads through _start's entry node and the
   // whole program is one component.  So the server analyzes exactly the
-  // way a default `spa-analyze` run does (bypass on).  The checker stays
-  // sound on the contracted buffers because it reads pointer operands
-  // only at points that genuinely *use* them, which bypassing preserves
-  // (tests/server_test.cpp pins this equivalence); keeping the options
-  // fixed also makes cache entries independent of the per-request check
-  // flag.
+  // way a default `spa-analyze` run does (bypass on), and checks on that
+  // run.  The checker stays sound on the contracted buffers because it
+  // reads pointer operands only at points that genuinely *use* them,
+  // which bypassing preserves; its verdicts are not always those of
+  // `spa-analyze --check`, which checks on the bypass-off graph, because
+  // the two graphs widen block-size bounds differently (docs/SERVER.md;
+  // tests/server_test.cpp pins the served verdicts against the
+  // interpreter).  Keeping the options fixed also makes cache entries
+  // independent of the per-request check flag.
   Opts.Analyzer.Engine = EngineKind::Sparse;
   StartMicros = obs::obsNowMicros();
   LastTelemetryMicros = StartMicros;

@@ -40,7 +40,8 @@ for ex in loop pointers; do
     phase.depbuild.bypass.seconds phase.depbuild.storage.seconds \
     phase.fix.seconds phase.total.seconds fixpoint.worklist.pops \
     fixpoint.visits fixpoint.extracted fixpoint.edges_walked \
-    depgraph.edges depgraph.nodes program.points \
+    depgraph.edges depgraph.nodes depgraph.phis depgraph.phis_dropped \
+    program.points \
     program.locs mem.peak_rss_kib value.pool.nodes value.pool.hit_rate \
     state.cow.detaches
   if ! grep -q '"traceEvents"' "$WORK/$ex-i-trace.json"; then

@@ -69,6 +69,9 @@ struct RunDigest {
   std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> Edges;
   std::vector<AbsState> In, Out;
   std::map<std::string, double> Counters;
+  /// The dependency-graph size gauges (depgraph.nodes, .phis,
+  /// .phis_dropped, .edges, ...), all but the storage estimate.
+  std::map<std::string, double> GraphGauges;
   /// Per-node cost-ledger count rows, flattened in node order.  Every
   /// field except the sampled TimeMicros is part of the determinism
   /// contract (docs/OBSERVABILITY.md "Determinism").
@@ -105,10 +108,17 @@ RunDigest digestRun(const Program &Prog, unsigned Jobs, bool Bypass) {
   // restrictions of the sequential schedule, so even push/dedup totals
   // must match exactly.  Timing gauges are not deterministic; take only
   // the counters that count work.
-  for (const auto &[Name, V] : obs::Registry::global().snapshot())
+  for (const auto &[Name, V] : obs::Registry::global().snapshot()) {
     if (Name.rfind("fixpoint.", 0) == 0 && Name.find("seconds") ==
         std::string::npos)
       D.Counters[Name] = V;
+    if (Name.rfind("depgraph.", 0) == 0 && Name != "depgraph.storage_bytes")
+      D.GraphGauges[Name] = V;
+  }
+  // The bypass-off graph has no edgeless phi to drop.
+  if (!Bypass) {
+    EXPECT_EQ(obs::Registry::global().value("depgraph.phis_dropped"), 0.0);
+  }
   if (Run.Ledger)
     for (uint32_t N = 0; N < Run.Ledger->numRows(); ++N) {
       const obs::PointCost &C = Run.Ledger->row(N);
@@ -143,6 +153,8 @@ void expectIdenticalAcrossJobCounts(unsigned Rounds, bool Bypass) {
       ASSERT_EQ(Seq.Edges, Par.Edges)
           << "round " << Round << " jobs " << Jobs;
       ASSERT_EQ(Seq.Counters, Par.Counters)
+          << "round " << Round << " jobs " << Jobs;
+      ASSERT_EQ(Seq.GraphGauges, Par.GraphGauges)
           << "round " << Round << " jobs " << Jobs;
       ASSERT_EQ(Seq.LedgerRows, Par.LedgerRows)
           << "round " << Round << " jobs " << Jobs;

@@ -446,6 +446,40 @@ TEST(SparseAnalysis, BypassLeavesNoContractiblePseudoOccurrence) {
   EXPECT_GT(Removed, 0u);
 }
 
+TEST(SparseAnalysis, DenseGraphKeepsExactlyThePhisWithAnEdge) {
+  // After the contraction every phi has an edge, and the survivors are
+  // the bypass-off graph's phis (the same SSA) with the PhisDropped
+  // edgeless ones left out, in their old order.
+  uint64_t Dropped = 0;
+  for (const auto &Prog : contractionCorpus()) {
+    AnalysisRun Off = analyze(*Prog, EngineKind::Sparse,
+                              [](AnalyzerOptions &O) { O.Dep.Bypass = false; });
+    EXPECT_EQ(Off.Graph->PhisDropped, 0u);
+    for (unsigned Jobs : {1u, 4u}) {
+      AnalyzerOptions Opts;
+      Opts.Jobs = Jobs;
+      AnalysisRun Run = analyzeProgram(*Prog, Opts);
+      const SparseGraph &G = *Run.Graph;
+      std::vector<bool> HasEdge(G.numNodes(), false);
+      for (uint32_t N = 0; N < G.numNodes(); ++N)
+        G.Edges->forEachOut(N, [&](LocId, uint32_t Dst) {
+          HasEdge[N] = true;
+          HasEdge[Dst] = true;
+        });
+      for (uint32_t N = G.NumPoints; N < G.numNodes(); ++N)
+        EXPECT_TRUE(HasEdge[N]) << "edgeless phi " << N << " jobs " << Jobs;
+      EXPECT_EQ(G.Phis.size() + G.PhisDropped, Off.Graph->Phis.size());
+      size_t K = 0;
+      for (const PhiNode &Ph : Off.Graph->Phis)
+        if (K < G.Phis.size() && G.Phis[K].At == Ph.At && G.Phis[K].L == Ph.L)
+          ++K;
+      EXPECT_EQ(K, G.Phis.size()) << "survivors out of order, jobs " << Jobs;
+      Dropped += G.PhisDropped;
+    }
+  }
+  EXPECT_GT(Dropped, 0u);
+}
+
 TEST(SparseAnalysis, ExhaustedBudgetSkipsTheContraction) {
   // A pre-exhausted budget stops the contraction before its first pop
   // in every lane: the graph keeps every edge of the bypass-off graph
