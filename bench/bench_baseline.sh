@@ -5,6 +5,7 @@
 # summary JSON.
 #
 #   bench_baseline.sh <pipeline_scaling> [out.json] [table2_interval] [table3_octagon]
+#                     [checked-in.json spa-metrics-diff]
 #
 # When the table2_interval binary is passed, the Table 2 suite also runs
 # (SPA_TABLE2_RUNS passes, best-of-N per program/engine) and the summary
@@ -13,6 +14,14 @@
 # (bench/baseline_table2.jsonl).  When table3_octagon is also passed,
 # the same per-engine seconds/peak-RSS columns are recorded for the
 # Table 3 octagon suite (SPA_TABLE3_RUNS passes, default 1).
+#
+# The record's "counts" section holds, per program and in suite totals,
+# the dependency-graph and fixpoint counts of the sequential runs
+# (depgraph.nodes, .phis, .phis_dropped, .edges, fixpoint.visits).  They
+# depend on the program alone, not on the host, so when a checked-in
+# record and the spa-metrics-diff binary are passed, the fresh counts
+# must not exceed the checked-in ones (tolerance 0): a count regression
+# fails.  Seconds are recorded but not gated; they depend on the host.
 #
 # Environment: SPA_SCALE (suite scale, default 0.05 here — a baseline,
 # not the paper-scale run), SPA_JOBS (parallel lane count; default all
@@ -25,6 +34,8 @@ BENCH=$1
 OUT=${2:-BENCH_pipeline.json}
 TABLE2=${3:-}
 TABLE3=${4:-}
+GATE_BASELINE=${5:-}
+METRICS_DIFF=${6:-}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -48,6 +59,8 @@ phases = ["phase.pre.seconds", "phase.defuse.seconds",
           "phase.depbuild.link.seconds", "phase.depbuild.bypass.seconds",
           "phase.depbuild.storage.seconds", "phase.fix.seconds",
           "phase.total.seconds", "phase.total.cpu_seconds"]
+counts = ["depgraph.nodes", "depgraph.phis", "depgraph.phis_dropped",
+          "depgraph.edges", "fixpoint.visits"]
 
 def config(jobs):
     suffix = ":jobs" + jobs
@@ -80,6 +93,20 @@ out = {
     "parallel_jobs": int(par),
     "sequential": config(seq),
     "parallel": config(par),
+}
+# Counts do not depend on the lane count; record the sequential runs'.
+seq_counts = {}
+for r in records:
+    name = r["bench"]
+    if name.startswith("pipeline:") and name.endswith(":jobs" + seq):
+        prog = name[len("pipeline:"):-len(":jobs" + seq)]
+        if prog != "batch":
+            seq_counts[prog] = {c: int(r["metrics"].get(c, 0))
+                                for c in counts}
+out["counts"] = {
+    "programs": seq_counts,
+    "suite_totals": {c: sum(v[c] for v in seq_counts.values())
+                     for c in counts},
 }
 s, p = (out["sequential"]["suite_totals"]["phase.total.seconds"],
         out["parallel"]["suite_totals"]["phase.total.seconds"])
@@ -267,3 +294,15 @@ ledger["totals"] = {
 json.dump(ledger, open(sys.argv[7], "w"), indent=2)
 print("wrote", sys.argv[7])
 EOF
+STATUS=$?
+[ $STATUS -ne 0 ] && exit $STATUS
+[ -z "$GATE_BASELINE" ] && exit 0
+
+# Count gate: the fresh counts against the checked-in record's.
+python3 - "$GATE_BASELINE" "$WORK/counts-base.json" \
+    "$OUT" "$WORK/counts-now.json" <<'EOF' || exit 1
+import json, sys
+for src, dst in ((sys.argv[1], sys.argv[2]), (sys.argv[3], sys.argv[4])):
+    json.dump(json.load(open(src)).get("counts", {}), open(dst, "w"))
+EOF
+"$METRICS_DIFF" --rel-tol=0 "$WORK/counts-base.json" "$WORK/counts-now.json"
