@@ -111,6 +111,70 @@ struct BypassScratch {
   bool Stopped = false;            ///< The budget ran out.
 };
 
+/// Definition or use nodes per location (raw LocId).
+using LocNodes = std::unordered_map<uint32_t, std::vector<uint32_t>>;
+
+/// Reaching-definitions dependencies, one location at a time: the
+/// bit-vector fixpoint of both reaching-definitions constructions, which
+/// differ only in their node numbering (0..\p N-1), iteration \p Order,
+/// predecessor walk (\p ForEachPred(P, Fn) calls Fn on each predecessor
+/// of P) and kill rule (\p Kills(P, L): whether the definition of L at P
+/// kills the incoming ones).  Calls \p Link(Def, L, Use) for every
+/// definition of L in \p DefsOf reaching a use of L in \p UsesOf.
+template <typename PredFn, typename KillFn, typename LinkFn>
+void linkReachingDefs(size_t N, const LocNodes &DefsOf,
+                      const LocNodes &UsesOf,
+                      const std::vector<uint32_t> &Order,
+                      PredFn ForEachPred, KillFn Kills, LinkFn Link) {
+  for (const auto &[LRaw, Defs] : DefsOf) {
+    LocId L(LRaw);
+    auto UseIt = UsesOf.find(LRaw);
+    if (UseIt == UsesOf.end())
+      continue;
+
+    size_t ND = Defs.size();
+    size_t Words = (ND + 63) / 64;
+    std::vector<uint64_t> In(N * Words, 0), Out(N * Words, 0);
+    std::vector<int32_t> DefIndexAt(N, -1);
+    for (size_t I = 0; I < ND; ++I)
+      DefIndexAt[Defs[I]] = static_cast<int32_t>(I);
+
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (uint32_t P : Order) {
+        uint64_t *InP = &In[P * Words];
+        ForEachPred(P, [&](uint32_t Pred) {
+          const uint64_t *OutPred = &Out[Pred * Words];
+          for (size_t W = 0; W < Words; ++W)
+            InP[W] |= OutPred[W];
+        });
+        // Transfer: kill then gen.
+        uint64_t *OutP = &Out[P * Words];
+        bool Killed = DefIndexAt[P] >= 0 && Kills(P, L);
+        for (size_t W = 0; W < Words; ++W) {
+          uint64_t NewOut = Killed ? 0 : InP[W];
+          if (DefIndexAt[P] >= 0 &&
+              static_cast<size_t>(DefIndexAt[P]) / 64 == W)
+            NewOut |= 1ULL << (DefIndexAt[P] % 64);
+          if (NewOut != OutP[W]) {
+            OutP[W] = NewOut;
+            Changed = true;
+          }
+        }
+      }
+    }
+
+    // A use at node u links to every definition reaching u's input.
+    for (uint32_t U : UseIt->second) {
+      const uint64_t *InU = &In[U * Words];
+      for (size_t I = 0; I < ND; ++I)
+        if (InU[I / 64] & (1ULL << (I % 64)))
+          Link(Defs[I], L, U);
+    }
+  }
+}
+
 class Builder {
 public:
   Builder(const Program &Prog, const CallGraphInfo &CG, const DefUseInfo &DU,
@@ -431,7 +495,7 @@ private:
     size_t N = Info.Points.size();
 
     // Gather per-location def and use point lists.
-    std::unordered_map<uint32_t, std::vector<uint32_t>> DefsOf, UsesOf;
+    LocNodes DefsOf, UsesOf;
     for (PointId P : Info.Points) {
       for (LocId L : Graph.NodeDefs[P.value()])
         DefsOf[L.value()].push_back(P.value() - Base);
@@ -441,57 +505,23 @@ private:
 
     // Local RPO for iteration order.
     Dominators Dom(Prog, F);
+    std::vector<uint32_t> Order;
+    Order.reserve(N);
+    for (PointId P : Dom.rpo())
+      Order.push_back(P.value() - Base);
 
-    for (auto &[LRaw, Defs] : DefsOf) {
-      LocId L(LRaw);
-      auto UseIt = UsesOf.find(LRaw);
-      if (UseIt == UsesOf.end())
-        continue;
-
-      size_t ND = Defs.size();
-      size_t Words = (ND + 63) / 64;
-      std::vector<uint64_t> In(N * Words, 0), OutBits(N * Words, 0);
-      std::vector<int32_t> DefIndexAt(N, -1);
-      for (size_t I = 0; I < ND; ++I)
-        DefIndexAt[Defs[I]] = static_cast<int32_t>(I);
-
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        for (PointId P : Dom.rpo()) {
-          uint32_t PL = P.value() - Base;
-          uint64_t *InP = &In[PL * Words];
-          for (PointId Pred : Prog.preds(P)) {
-            const uint64_t *OutPred =
-                &OutBits[(Pred.value() - Base) * Words];
-            for (size_t W = 0; W < Words; ++W)
-              InP[W] |= OutPred[W];
-          }
-          // Transfer: kill then gen.
-          uint64_t *OutP = &OutBits[PL * Words];
-          bool Kills = DefIndexAt[PL] >= 0 &&
-                       (!DefUseChainMode || alwaysKills(P, L));
-          for (size_t W = 0; W < Words; ++W) {
-            uint64_t NewOut = Kills ? 0 : InP[W];
-            if (DefIndexAt[PL] >= 0 &&
-                static_cast<size_t>(DefIndexAt[PL]) / 64 == W)
-              NewOut |= 1ULL << (DefIndexAt[PL] % 64);
-            if (NewOut != OutP[W]) {
-              OutP[W] = NewOut;
-              Changed = true;
-            }
-          }
-        }
-      }
-
-      // A use at point u links to every definition reaching u's input.
-      for (uint32_t U : UseIt->second) {
-        const uint64_t *InU = &In[U * Words];
-        for (size_t I = 0; I < ND; ++I)
-          if (InU[I / 64] & (1ULL << (I % 64)))
-            Out.Edges.push_back(RawEdge{Base + Defs[I], L, Base + U});
-      }
-    }
+    linkReachingDefs(
+        N, DefsOf, UsesOf, Order,
+        [&](uint32_t P, auto &&Fn) {
+          for (PointId Pred : Prog.preds(PointId(Base + P)))
+            Fn(Pred.value() - Base);
+        },
+        [&](uint32_t P, LocId L) {
+          return !DefUseChainMode || alwaysKills(PointId(Base + P), L);
+        },
+        [&](uint32_t Def, LocId L, uint32_t Use) {
+          Out.Edges.push_back(RawEdge{Base + Def, L, Base + Use});
+        });
   }
 
   /// Splices the per-function outputs into the graph in function order:
@@ -531,7 +561,7 @@ private:
     Graph.NodeDefs = DU.Defs;
     Graph.NodeUses = DU.Uses;
 
-    std::unordered_map<uint32_t, std::vector<uint32_t>> DefsOf, UsesOf;
+    LocNodes DefsOf, UsesOf;
     for (uint32_t P = 0; P < N; ++P) {
       for (LocId L : DU.Defs[P])
         DefsOf[L.value()].push_back(P);
@@ -544,51 +574,14 @@ private:
     for (uint32_t P = 0; P < N; ++P)
       Order[Rpo[P]] = P;
 
-    for (auto &[LRaw, Defs] : DefsOf) {
-      LocId L(LRaw);
-      auto UseIt = UsesOf.find(LRaw);
-      if (UseIt == UsesOf.end())
-        continue;
-
-      size_t ND = Defs.size();
-      size_t Words = (ND + 63) / 64;
-      std::vector<uint64_t> In(N * Words, 0), Out(N * Words, 0);
-      std::vector<int32_t> DefIndexAt(N, -1);
-      for (size_t I = 0; I < ND; ++I)
-        DefIndexAt[Defs[I]] = static_cast<int32_t>(I);
-
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        for (uint32_t P : Order) {
-          uint64_t *InP = &In[P * Words];
-          CG.forEachSuperPred(Prog, PointId(P), [&](PointId Pred) {
-            const uint64_t *OutPred = &Out[Pred.value() * Words];
-            for (size_t W = 0; W < Words; ++W)
-              InP[W] |= OutPred[W];
-          });
-          uint64_t *OutP = &Out[P * Words];
-          bool Kills = DefIndexAt[P] >= 0;
-          for (size_t W = 0; W < Words; ++W) {
-            uint64_t NewOut = Kills ? 0 : InP[W];
-            if (DefIndexAt[P] >= 0 &&
-                static_cast<size_t>(DefIndexAt[P]) / 64 == W)
-              NewOut |= 1ULL << (DefIndexAt[P] % 64);
-            if (NewOut != OutP[W]) {
-              OutP[W] = NewOut;
-              Changed = true;
-            }
-          }
-        }
-      }
-
-      for (uint32_t U : UseIt->second) {
-        const uint64_t *InU = &In[U * Words];
-        for (size_t I = 0; I < ND; ++I)
-          if (InU[I / 64] & (1ULL << (I % 64)))
-            addEdge(Defs[I], L, U);
-      }
-    }
+    linkReachingDefs(
+        N, DefsOf, UsesOf, Order,
+        [&](uint32_t P, auto &&Fn) {
+          CG.forEachSuperPred(Prog, PointId(P),
+                              [&](PointId Pred) { Fn(Pred.value()); });
+        },
+        [](uint32_t, LocId) { return true; },
+        [&](uint32_t Def, LocId L, uint32_t Use) { addEdge(Def, L, Use); });
   }
 
   //===------------------------------------------------------------------===//

@@ -76,6 +76,24 @@ spa::partitionNodes(const Program &Prog, const SparseGraph &Graph,
   return Shards;
 }
 
+SparseSchedule spa::computeSparseSchedule(const Program &Prog,
+                                          const CallGraphInfo &CG,
+                                          const SparseGraph &Graph) {
+  size_t N = Graph.numNodes();
+  std::vector<uint32_t> PointRpo = computeSuperRpo(Prog, CG);
+  std::vector<bool> WidenPoint = computeWideningPoints(Prog, CG);
+  SparseSchedule S;
+  S.Prio.resize(N);
+  S.WidenNode.resize(N);
+  for (uint32_t I = 0; I < N; ++I) {
+    uint32_t Anchor = Graph.anchor(I).value();
+    uint32_t R2 = 2 * PointRpo[Anchor] + 1;
+    S.Prio[I] = Graph.isPhi(I) ? R2 - 1 : R2;
+    S.WidenNode[I] = WidenPoint[Anchor];
+  }
+  return S;
+}
+
 std::vector<std::vector<LocId>> spa::accessSets(const Program &Prog,
                                                 const DefUseInfo &DU) {
   std::vector<std::vector<LocId>> Access(Prog.numFuncs());

@@ -249,6 +249,24 @@ std::vector<std::vector<uint32_t>>
 partitionNodes(const Program &Prog, const SparseGraph &Graph, unsigned Jobs,
                const std::vector<uint32_t> *Restrict);
 
+/// The sparse step's schedule over a dependency graph, per node.
+struct SparseSchedule {
+  /// Worklist priority: twice the anchor point's supergraph RPO index,
+  /// plus one for a point.  A phi logically executes just before its
+  /// join point, so it gets the smaller priority; otherwise the phi ->
+  /// join-point edge would look retreating and trigger spurious widening.
+  std::vector<uint32_t> Prio;
+  /// Loop heads / recursive entries and their phis.
+  std::vector<bool> WidenNode;
+};
+
+/// The one derivation of the schedule: runSparseFixpoint runs on it, and
+/// the serve partition signatures (serve/Service.cpp) fold it in, so a
+/// signature covers every scheduling input the engine reads.
+SparseSchedule computeSparseSchedule(const Program &Prog,
+                                     const CallGraphInfo &CG,
+                                     const SparseGraph &Graph);
+
 /// The sparse transfer's output walk (see "Pending locations" above):
 /// visits Defs ∩ (written ∪ Pending) in ascending order, where the written
 /// locations are the keys of \p Overlay (a sorted map keyed by
@@ -478,21 +496,9 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   if (Led)
     Led->resize(static_cast<uint32_t>(N));
 
-  // Node priorities: the anchor point's supergraph RPO index.  Phi nodes
-  // logically execute just before their join point, so they get a
-  // slightly smaller priority; otherwise the phi -> join-point edge would
-  // look retreating and trigger spurious widening.
-  std::vector<uint32_t> PointRpo = computeSuperRpo(Prog, CG);
-  std::vector<uint32_t> Prio(N);
-  for (uint32_t I = 0; I < N; ++I) {
-    uint32_t R2 = 2 * PointRpo[Graph.anchor(I).value()] + 1;
-    Prio[I] = Graph.isPhi(I) ? R2 - 1 : R2;
-  }
-  // Widening nodes: loop heads / recursive entries and their phis.
-  std::vector<bool> WidenPoint = computeWideningPoints(Prog, CG);
-  std::vector<bool> WidenNode(N);
-  for (uint32_t I = 0; I < N; ++I)
-    WidenNode[I] = WidenPoint[Graph.anchor(I).value()];
+  SparseSchedule Sched = computeSparseSchedule(Prog, CG, Graph);
+  const std::vector<uint32_t> &Prio = Sched.Prio;
+  const std::vector<bool> &WidenNode = Sched.WidenNode;
   // Changing arrivals per (node, location) on cycle-closing edges.
   std::vector<FlatMap<LocId, uint32_t>> ArrivalCount(N);
   // Pending locations per point (phis keep none); see the file comment.

@@ -8,6 +8,7 @@
 
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
+#include "support/ByteIO.h"
 
 #include <cstdio>
 #include <cstring>
@@ -47,43 +48,7 @@ const char *sectionName(uint32_t Kind) {
   return "?";
 }
 
-uint64_t fnv1a64(const uint8_t *Data, size_t Size) {
-  uint64_t H = 14695981039346656037ull;
-  for (size_t I = 0; I < Size; ++I) {
-    H ^= Data[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-//===----------------------------------------------------------------------===//
-// Writer
-//===----------------------------------------------------------------------===//
-
-/// Byte-by-byte little-endian append buffer; one per section payload.
-struct Writer {
-  std::vector<uint8_t> Buf;
-
-  void u8(uint8_t V) { Buf.push_back(V); }
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
-  void id(PointId V) { u32(V.value()); }
-  void id(LocId V) { u32(V.value()); }
-  void id(FuncId V) { u32(V.value()); }
-  void str(const std::string &S) {
-    u32(static_cast<uint32_t>(S.size()));
-    Buf.insert(Buf.end(), S.begin(), S.end());
-  }
-};
-
-void writeExpr(Writer &W, const IExpr &E) {
+void writeExpr(ByteWriter &W, const IExpr &E) {
   W.u8(static_cast<uint8_t>(E.Kind));
   switch (E.Kind) {
   case IExprKind::Num:
@@ -107,13 +72,13 @@ void writeExpr(Writer &W, const IExpr &E) {
   }
 }
 
-void writeOptExpr(Writer &W, const IExpr *E) {
+void writeOptExpr(ByteWriter &W, const IExpr *E) {
   W.u8(E != nullptr);
   if (E)
     writeExpr(W, *E);
 }
 
-void writeCommand(Writer &W, const Command &C) {
+void writeCommand(ByteWriter &W, const Command &C) {
   W.u8(static_cast<uint8_t>(C.Kind));
   W.id(C.Target);
   writeOptExpr(W, C.E.get());
@@ -132,7 +97,7 @@ void writeCommand(Writer &W, const Command &C) {
   W.id(C.Pair);
 }
 
-void writeEdgeList(Writer &W, const std::vector<PointId> &Edges) {
+void writeEdgeList(ByteWriter &W, const std::vector<PointId> &Edges) {
   W.u32(static_cast<uint32_t>(Edges.size()));
   for (PointId P : Edges)
     W.id(P);
@@ -142,81 +107,46 @@ void writeEdgeList(Writer &W, const std::vector<PointId> &Edges) {
 // Reader
 //===----------------------------------------------------------------------===//
 
-/// Bounds-checked little-endian cursor over one section's payload.  The
-/// first failed read latches Err; subsequent reads return zero and keep
-/// the cursor put, so decode loops can bail on `R.failed()` at their
-/// natural checkpoints without checking every call.
-struct Reader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
+/// One section's payload: the shared cursor plus the section's first
+/// typed error, named by section and offset.  The cursor stops where it
+/// first ran out, so a cursor failure no check named first is reported
+/// as the end of the section at that offset.
+struct Reader : ByteReader {
   const char *Section;
   SnapshotError Err;
 
   Reader(const uint8_t *D, size_t N, const char *Sec)
-      : Data(D), Size(N), Section(Sec) {}
+      : ByteReader(D, N), Section(Sec) {}
 
-  bool failed() const { return !Err.ok(); }
-  size_t remaining() const { return Size - Pos; }
-
-  void fail(SnapErrc C, const std::string &What) {
-    if (Err.ok())
+  void fail(SnapErrc C, std::string What) {
+    if (Err.ok()) {
+      if (failed()) {
+        C = SnapErrc::Malformed;
+        What = "unexpected end of section";
+      }
       Err = {C, std::string(Section) + " section: " + What + " at offset " +
-                    std::to_string(Pos)};
-  }
-  bool need(size_t N) {
-    if (failed())
-      return false;
-    if (remaining() < N) {
-      fail(SnapErrc::Malformed, "unexpected end of section");
-      return false;
+                    std::to_string(pos())};
     }
-    return true;
+    ByteReader::fail();
   }
-  uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-  int64_t i64() { return static_cast<int64_t>(u64()); }
-  std::string str() {
-    uint32_t N = u32();
-    if (!need(N))
-      return {};
-    std::string S(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return S;
-  }
-  /// Reads an element count that is about to drive a decode loop.  Each
-  /// element occupies at least \p MinElemBytes on the wire, so a count
-  /// beyond remaining()/MinElemBytes is provably a lie — reject it before
-  /// any allocation, not after.
+  /// ByteReader::count, with the lie named.
   uint32_t count(size_t MinElemBytes, const char *What) {
     uint32_t N = u32();
-    if (failed())
-      return 0;
-    if (static_cast<uint64_t>(N) * MinElemBytes > remaining()) {
+    if (!failed() && !fits(N, MinElemBytes)) {
       fail(SnapErrc::Malformed, std::string("impossible ") + What +
                                     " count " + std::to_string(N));
       return 0;
     }
     return N;
+  }
+  /// The section's verdict once decoding stops: its first error, else
+  /// "trailing bytes" unless the payload was consumed exactly.
+  SnapshotError finish() {
+    if (!failed() && remaining() != 0)
+      fail(SnapErrc::Malformed, "trailing bytes");
+    if (failed())
+      fail(SnapErrc::Malformed, "unexpected end of section");
+    return std::move(Err);
   }
 };
 
@@ -356,19 +286,10 @@ SnapshotError parseTable(const uint8_t *Data, size_t Size, uint32_t &Version,
     return {SnapErrc::Truncated, "file shorter than the 16-byte header"};
   if (std::memcmp(Data, Magic, sizeof(Magic)) != 0)
     return {SnapErrc::BadMagic, "bad magic bytes"};
-  auto U32At = [&](size_t Off) {
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Off + I]) << (8 * I);
-    return V;
-  };
-  auto U64At = [&](size_t Off) {
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Off + I]) << (8 * I);
-    return V;
-  };
-  Version = U32At(8);
+  // Every read below is in bounds: the header by the size check above,
+  // the table by the TableEnd check before the loop.
+  ByteReader Hdr(Data + sizeof(Magic), Size - sizeof(Magic));
+  Version = Hdr.u32();
   if (Version < MinSnapshotVersion || Version > SnapshotVersion)
     return {SnapErrc::BadVersion, "format version " + std::to_string(Version) +
                                       ", this reader understands only " +
@@ -376,7 +297,7 @@ SnapshotError parseTable(const uint8_t *Data, size_t Size, uint32_t &Version,
                                       ".." + std::to_string(SnapshotVersion)};
   // v1 has exactly the five required sections; v2 may append the
   // optional depgraph section.
-  uint32_t Count = U32At(12);
+  uint32_t Count = Hdr.u32();
   uint32_t MaxCount = Version >= 2 ? NumRequiredSections + 1
                                    : NumRequiredSections;
   if (Count < NumRequiredSections || Count > MaxCount)
@@ -393,13 +314,12 @@ SnapshotError parseTable(const uint8_t *Data, size_t Size, uint32_t &Version,
   uint64_t Expected = TableEnd;
   uint32_t SeenMask = 0;
   for (uint32_t I = 0; I < Count; ++I) {
-    size_t Off = HeaderBytes + static_cast<size_t>(I) * TableEntryBytes;
     SectionEntry E;
-    E.Kind = U32At(Off);
-    // Off+4 is a reserved u32 (zero on write, ignored on read).
-    E.Offset = U64At(Off + 8);
-    E.Length = U64At(Off + 16);
-    E.Checksum = U64At(Off + 24);
+    E.Kind = Hdr.u32();
+    Hdr.u32(); // Reserved (zero on write, ignored on read).
+    E.Offset = Hdr.u64();
+    E.Length = Hdr.u64();
+    E.Checksum = Hdr.u64();
     uint32_t MaxKind = Version >= 2 ? SecDepGraph : SecEdges;
     if (E.Kind < SecMeta || E.Kind > MaxKind)
       return {SnapErrc::BadSectionTable,
@@ -465,7 +385,7 @@ std::string SnapshotError::str() const {
 std::vector<uint8_t>
 saveSnapshot(const Program &Prog,
              const std::vector<uint8_t> *DepGraphPayload) {
-  Writer Meta, Locs, Funcs, Points, Edges;
+  ByteWriter Meta, Locs, Funcs, Points, Edges;
 
   Meta.u64(Prog.numPoints());
   Meta.u64(Prog.numFuncs());
@@ -511,11 +431,11 @@ saveSnapshot(const Program &Prog,
   for (const auto &P : Prog.Preds)
     writeEdgeList(Edges, P);
 
-  Writer DepGraph;
+  ByteWriter DepGraph;
   if (DepGraphPayload && !DepGraphPayload->empty())
     DepGraph.Buf = *DepGraphPayload;
 
-  std::vector<std::pair<uint32_t, const Writer *>> Sections = {
+  std::vector<std::pair<uint32_t, const ByteWriter *>> Sections = {
       {SecMeta, &Meta},
       {SecLocs, &Locs},
       {SecFuncs, &Funcs},
@@ -525,7 +445,7 @@ saveSnapshot(const Program &Prog,
   if (!DepGraph.Buf.empty())
     Sections.emplace_back(SecDepGraph, &DepGraph);
 
-  Writer Out;
+  ByteWriter Out;
   // assign, not a range insert: GCC 12 under -fsanitize=thread misreads
   // the inlined insert into the empty buffer as a stringop overflow.
   Out.Buf.assign(std::begin(Magic), std::end(Magic));
@@ -597,10 +517,8 @@ SnapshotLoadResult loadSnapshot(const uint8_t *Data, size_t Size) {
   auto Prog = std::make_unique<Program>();
   Prog->Start = readId<FuncId>(MetaR, B.Funcs, "start func");
   Prog->Main = readId<FuncId>(MetaR, B.Funcs, "main func");
-  if (!MetaR.failed() && MetaR.remaining() != 0)
-    MetaR.fail(SnapErrc::Malformed, "trailing bytes");
-  if (MetaR.failed())
-    return Fail(std::move(MetaR.Err));
+  if (SnapshotError E = MetaR.finish(); !E.ok())
+    return Fail(std::move(E));
   // Counts are decoded as u64 but ids are u32: a table bigger than the
   // id space could never have been written by the serializer.
   if (B.Points >= LocId::InvalidValue || B.Funcs >= LocId::InvalidValue ||
@@ -608,7 +526,7 @@ SnapshotLoadResult loadSnapshot(const uint8_t *Data, size_t Size) {
     return Fail({SnapErrc::Malformed, "meta section: table size exceeds id space"});
 
   Reader LocsR = readerFor(SecLocs);
-  if (B.Locs * 13 > LocsR.Size) // kind + len + owner + site minimum
+  if (!LocsR.fits(B.Locs, 13)) // kind + len + owner + site minimum
     return Fail({SnapErrc::Malformed,
                  "locs section too short for its declared count"});
   for (uint64_t I = 0; I < B.Locs && !LocsR.failed(); ++I) {
@@ -625,13 +543,11 @@ SnapshotLoadResult loadSnapshot(const uint8_t *Data, size_t Size) {
     L.Site = readId<PointId>(LocsR, B.Points, "loc site");
     Prog->Locs.push_back(std::move(L));
   }
-  if (!LocsR.failed() && LocsR.remaining() != 0)
-    LocsR.fail(SnapErrc::Malformed, "trailing bytes");
-  if (LocsR.failed())
-    return Fail(std::move(LocsR.Err));
+  if (SnapshotError E = LocsR.finish(); !E.ok())
+    return Fail(std::move(E));
 
   Reader FuncsR = readerFor(SecFuncs);
-  if (B.Funcs * 28 > FuncsR.Size) // name len + 2 counts + 3 ids + count
+  if (!FuncsR.fits(B.Funcs, 28)) // name len + 2 counts + 3 ids + count
     return Fail({SnapErrc::Malformed,
                  "funcs section too short for its declared count"});
   for (uint64_t I = 0; I < B.Funcs && !FuncsR.failed(); ++I) {
@@ -651,13 +567,11 @@ SnapshotLoadResult loadSnapshot(const uint8_t *Data, size_t Size) {
       F.Points.push_back(readId<PointId>(FuncsR, B.Points, "func point"));
     Prog->Funcs.push_back(std::move(F));
   }
-  if (!FuncsR.failed() && FuncsR.remaining() != 0)
-    FuncsR.fail(SnapErrc::Malformed, "trailing bytes");
-  if (FuncsR.failed())
-    return Fail(std::move(FuncsR.Err));
+  if (SnapshotError E = FuncsR.finish(); !E.ok())
+    return Fail(std::move(E));
 
   Reader PointsR = readerFor(SecPoints);
-  if (B.Points * 28 > PointsR.Size) // minimum encoded command + func + line
+  if (!PointsR.fits(B.Points, 28)) // minimum encoded command + func + line
     return Fail({SnapErrc::Malformed,
                  "points section too short for its declared count"});
   for (uint64_t I = 0; I < B.Points && !PointsR.failed(); ++I) {
@@ -668,13 +582,11 @@ SnapshotLoadResult loadSnapshot(const uint8_t *Data, size_t Size) {
     P.Line = PointsR.u32();
     Prog->Points.push_back(std::move(P));
   }
-  if (!PointsR.failed() && PointsR.remaining() != 0)
-    PointsR.fail(SnapErrc::Malformed, "trailing bytes");
-  if (PointsR.failed())
-    return Fail(std::move(PointsR.Err));
+  if (SnapshotError E = PointsR.finish(); !E.ok())
+    return Fail(std::move(E));
 
   Reader EdgesR = readerFor(SecEdges);
-  if (B.Points * 8 > EdgesR.Size) // two u32 counts per point minimum
+  if (!EdgesR.fits(B.Points, 8)) // two u32 counts per point minimum
     return Fail({SnapErrc::Malformed,
                  "edges section too short for its declared count"});
   for (auto *Vec : {&Prog->Succs, &Prog->Preds}) {
@@ -686,10 +598,8 @@ SnapshotLoadResult loadSnapshot(const uint8_t *Data, size_t Size) {
       Vec->push_back(std::move(Edges));
     }
   }
-  if (!EdgesR.failed() && EdgesR.remaining() != 0)
-    EdgesR.fail(SnapErrc::Malformed, "trailing bytes");
-  if (EdgesR.failed())
-    return Fail(std::move(EdgesR.Err));
+  if (SnapshotError E = EdgesR.finish(); !E.ok())
+    return Fail(std::move(E));
 
   // FuncByName is derived state: rebuilding it here (first id wins, same
   // as the builder's insertion behavior — names are unique anyway) keeps

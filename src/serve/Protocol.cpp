@@ -6,9 +6,9 @@
 
 #include "serve/Protocol.h"
 
-#include <cerrno>
+#include "support/ByteIO.h"
+
 #include <cstring>
-#include <unistd.h>
 
 using namespace spa;
 using namespace spa::serve;
@@ -44,151 +44,20 @@ const char *spa::serve::serveErrorName(ServeErrc Code) {
   return "unknown";
 }
 
-namespace {
-
-bool writeAll(int Fd, const void *Buf, size_t Len) {
-  const char *P = static_cast<const char *>(Buf);
-  while (Len > 0) {
-    ssize_t N = ::write(Fd, P, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// Reads exactly \p Len bytes.  Returns 1 on success, 0 on clean EOF at
-/// offset 0, -1 on error/short read.
-int readAll(int Fd, void *Buf, size_t Len) {
-  char *P = static_cast<char *>(Buf);
-  size_t Got = 0;
-  while (Got < Len) {
-    ssize_t N = ::read(Fd, P + Got, Len - Got);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return -1;
-    }
-    if (N == 0)
-      return Got == 0 ? 0 : -1;
-    Got += static_cast<size_t>(N);
-  }
-  return 1;
-}
-
-void putU16(std::vector<uint8_t> &B, uint16_t V) {
-  B.push_back(V & 0xff);
-  B.push_back((V >> 8) & 0xff);
-}
-
-void putU32(std::vector<uint8_t> &B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B.push_back((V >> (8 * I)) & 0xff);
-}
-
-void putU64(std::vector<uint8_t> &B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back((V >> (8 * I)) & 0xff);
-}
-
-void putStr(std::vector<uint8_t> &B, const std::string &S) {
-  putU32(B, static_cast<uint32_t>(S.size()));
-  B.insert(B.end(), S.begin(), S.end());
-}
-
-/// Bounds-checked little-endian payload reader (same failure discipline
-/// as the snapshot Reader: any out-of-bounds access poisons the decode).
-struct PayloadReader {
-  const std::vector<uint8_t> &B;
-  size_t Pos = 0;
-  bool Ok = true;
-
-  explicit PayloadReader(const std::vector<uint8_t> &B) : B(B) {}
-
-  bool need(size_t N) {
-    if (!Ok || B.size() - Pos < N) {
-      Ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint16_t u16() {
-    if (!need(2))
-      return 0;
-    uint16_t V = static_cast<uint16_t>(B[Pos] | (B[Pos + 1] << 8));
-    Pos += 2;
-    return V;
-  }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(B[Pos + I]) << (8 * I);
-    Pos += 4;
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(B[Pos + I]) << (8 * I);
-    Pos += 8;
-    return V;
-  }
-  uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return B[Pos++];
-  }
-  std::string str() {
-    uint32_t Len = u32();
-    if (!need(Len))
-      return {};
-    std::string S(reinterpret_cast<const char *>(B.data()) + Pos, Len);
-    Pos += Len;
-    return S;
-  }
-  bool done() const { return Ok && Pos == B.size(); }
-};
-
-uint64_t doubleBits(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  return Bits;
-}
-
-double bitsDouble(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
-
-} // namespace
-
 bool spa::serve::writeHandshake(int Fd) {
-  unsigned char Buf[12];
-  std::memcpy(Buf, Magic, 8);
-  for (int I = 0; I < 4; ++I)
-    Buf[8 + I] = (ProtocolVersion >> (8 * I)) & 0xff;
-  return writeAll(Fd, Buf, sizeof(Buf));
+  ByteWriter W;
+  W.bytes(Magic, sizeof(Magic));
+  W.u32(ProtocolVersion);
+  return writeFull(Fd, W.Buf.data(), W.Buf.size());
 }
 
 ServeErrc spa::serve::readHandshake(int Fd) {
-  unsigned char Buf[12];
-  if (readAll(Fd, Buf, sizeof(Buf)) != 1)
+  uint8_t Buf[12];
+  if (!readFull(Fd, Buf, sizeof(Buf)))
     return ServeErrc::Io;
   if (std::memcmp(Buf, Magic, 8) != 0)
     return ServeErrc::BadMagic;
-  uint32_t Ver = 0;
-  for (int I = 0; I < 4; ++I)
-    Ver |= static_cast<uint32_t>(Buf[8 + I]) << (8 * I);
-  if (Ver != ProtocolVersion)
+  if (ByteReader(Buf + 8, 4).u32() != ProtocolVersion)
     return ServeErrc::BadVersion;
   return ServeErrc::None;
 }
@@ -198,47 +67,43 @@ bool spa::serve::writeFrame(int Fd, FrameType Type,
                             uint16_t Flags) {
   if (Payload.size() > MaxFrameBytes)
     return false;
-  std::vector<uint8_t> Header;
-  Header.reserve(8);
-  putU32(Header, static_cast<uint32_t>(Payload.size()));
-  putU16(Header, static_cast<uint16_t>(Type));
-  putU16(Header, Flags);
-  return writeAll(Fd, Header.data(), Header.size()) &&
-         (Payload.empty() ||
-          writeAll(Fd, Payload.data(), Payload.size()));
+  ByteWriter Header;
+  Header.u32(static_cast<uint32_t>(Payload.size()));
+  Header.u16(static_cast<uint16_t>(Type));
+  Header.u16(Flags);
+  return writeFull(Fd, Header.Buf.data(), Header.Buf.size()) &&
+         writeFull(Fd, Payload.data(), Payload.size());
 }
 
 ServeErrc spa::serve::readFrame(int Fd, Frame &Out) {
-  unsigned char Header[8];
-  int Rc = readAll(Fd, Header, sizeof(Header));
-  if (Rc != 1)
+  uint8_t Buf[8];
+  if (!readFull(Fd, Buf, sizeof(Buf)))
     return ServeErrc::Io;
-  uint32_t Len = 0;
-  for (int I = 0; I < 4; ++I)
-    Len |= static_cast<uint32_t>(Header[I]) << (8 * I);
+  ByteReader Header(Buf, sizeof(Buf));
+  uint32_t Len = Header.u32();
   if (Len > MaxFrameBytes)
     return ServeErrc::TooLarge;
-  Out.Type = static_cast<FrameType>(Header[4] | (Header[5] << 8));
-  Out.Flags = static_cast<uint16_t>(Header[6] | (Header[7] << 8));
+  Out.Type = static_cast<FrameType>(Header.u16());
+  Out.Flags = Header.u16();
   Out.Payload.assign(Len, 0);
-  if (Len > 0 && readAll(Fd, Out.Payload.data(), Len) != 1)
+  if (!readFull(Fd, Out.Payload.data(), Len))
     return ServeErrc::Io;
   return ServeErrc::None;
 }
 
 std::vector<uint8_t>
 spa::serve::encodeAnalyzeRequest(const AnalyzeRequest &Req) {
-  std::vector<uint8_t> B;
-  B.reserve(12 + Req.Program.size());
-  putU32(B, Req.Flags);
-  putU32(B, Req.Jobs);
-  putStr(B, Req.Program);
-  return B;
+  ByteWriter W;
+  W.Buf.reserve(12 + Req.Program.size());
+  W.u32(Req.Flags);
+  W.u32(Req.Jobs);
+  W.str(Req.Program);
+  return std::move(W.Buf);
 }
 
 bool spa::serve::decodeAnalyzeRequest(const std::vector<uint8_t> &Payload,
                                       AnalyzeRequest &Out) {
-  PayloadReader R(Payload);
+  ByteReader R(Payload);
   Out.Flags = R.u32();
   Out.Jobs = R.u32();
   Out.Program = R.str();
@@ -247,30 +112,30 @@ bool spa::serve::decodeAnalyzeRequest(const std::vector<uint8_t> &Payload,
 
 std::vector<uint8_t>
 spa::serve::encodeAnalyzeResponse(const AnalyzeResponse &Resp) {
-  std::vector<uint8_t> B;
-  putU64(B, Resp.ResultDigest);
-  putU64(B, Resp.ProgramDigest);
-  putU32(B, Resp.PartitionsTotal);
-  putU32(B, Resp.PartitionsReused);
-  putU32(B, Resp.PartitionsSolved);
-  B.push_back(Resp.CacheHit);
-  B.push_back(Resp.Degraded);
-  B.push_back(Resp.TimedOut);
-  B.push_back(0); // Pad.
-  putU32(B, Resp.Checks);
-  putU32(B, Resp.Alarms);
-  putU64(B, doubleBits(Resp.WallSeconds));
-  putU64(B, Resp.LedgerVisits);
-  putU64(B, Resp.LedgerGrowth);
-  putStr(B, Resp.AlarmsText);
-  putStr(B, Resp.InvariantsText);
-  putStr(B, Resp.MetricsJson);
-  return B;
+  ByteWriter W;
+  W.u64(Resp.ResultDigest);
+  W.u64(Resp.ProgramDigest);
+  W.u32(Resp.PartitionsTotal);
+  W.u32(Resp.PartitionsReused);
+  W.u32(Resp.PartitionsSolved);
+  W.u8(Resp.CacheHit);
+  W.u8(Resp.Degraded);
+  W.u8(Resp.TimedOut);
+  W.u8(0); // Pad.
+  W.u32(Resp.Checks);
+  W.u32(Resp.Alarms);
+  W.f64(Resp.WallSeconds);
+  W.u64(Resp.LedgerVisits);
+  W.u64(Resp.LedgerGrowth);
+  W.str(Resp.AlarmsText);
+  W.str(Resp.InvariantsText);
+  W.str(Resp.MetricsJson);
+  return std::move(W.Buf);
 }
 
 bool spa::serve::decodeAnalyzeResponse(const std::vector<uint8_t> &Payload,
                                        AnalyzeResponse &Out) {
-  PayloadReader R(Payload);
+  ByteReader R(Payload);
   Out.ResultDigest = R.u64();
   Out.ProgramDigest = R.u64();
   Out.PartitionsTotal = R.u32();
@@ -282,7 +147,7 @@ bool spa::serve::decodeAnalyzeResponse(const std::vector<uint8_t> &Payload,
   R.u8(); // Pad.
   Out.Checks = R.u32();
   Out.Alarms = R.u32();
-  Out.WallSeconds = bitsDouble(R.u64());
+  Out.WallSeconds = R.f64();
   Out.LedgerVisits = R.u64();
   Out.LedgerGrowth = R.u64();
   Out.AlarmsText = R.str();
@@ -293,45 +158,45 @@ bool spa::serve::decodeAnalyzeResponse(const std::vector<uint8_t> &Payload,
 
 std::vector<uint8_t> spa::serve::encodeError(ServeErrc Code,
                                              const std::string &Message) {
-  std::vector<uint8_t> B;
-  putU16(B, static_cast<uint16_t>(Code));
-  putStr(B, Message);
-  return B;
+  ByteWriter W;
+  W.u16(static_cast<uint16_t>(Code));
+  W.str(Message);
+  return std::move(W.Buf);
 }
 
 bool spa::serve::decodeError(const std::vector<uint8_t> &Payload,
                              ServeErrc &Code, std::string &Message) {
-  PayloadReader R(Payload);
+  ByteReader R(Payload);
   Code = static_cast<ServeErrc>(R.u16());
   Message = R.str();
   return R.done();
 }
 
 std::vector<uint8_t> spa::serve::encodeString(const std::string &S) {
-  std::vector<uint8_t> B;
-  putStr(B, S);
-  return B;
+  ByteWriter W;
+  W.str(S);
+  return std::move(W.Buf);
 }
 
 bool spa::serve::decodeString(const std::vector<uint8_t> &Payload,
                               std::string &Out) {
-  PayloadReader R(Payload);
+  ByteReader R(Payload);
   Out = R.str();
   return R.done();
 }
 
 std::vector<uint8_t>
 spa::serve::encodeSubscribeRequest(const SubscribeRequest &Req) {
-  std::vector<uint8_t> B;
-  B.reserve(8);
-  putU32(B, Req.IntervalMs);
-  putU32(B, Req.MaxFrames);
-  return B;
+  ByteWriter W;
+  W.Buf.reserve(8);
+  W.u32(Req.IntervalMs);
+  W.u32(Req.MaxFrames);
+  return std::move(W.Buf);
 }
 
 bool spa::serve::decodeSubscribeRequest(const std::vector<uint8_t> &Payload,
                                         SubscribeRequest &Out) {
-  PayloadReader R(Payload);
+  ByteReader R(Payload);
   Out.IntervalMs = R.u32();
   Out.MaxFrames = R.u32();
   return R.done();

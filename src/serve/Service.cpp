@@ -8,11 +8,13 @@
 
 #include "core/Checker.h"
 #include "core/DepSnapshot.h"
+#include "core/Fixpoint.h"
 #include "ir/Builder.h"
 #include "ir/Snapshot.h"
 #include "obs/Journal.h"
 #include "obs/MetricsSink.h"
 #include "obs/Trace.h"
+#include "support/ByteIO.h"
 #include "support/Resource.h"
 
 #include <algorithm>
@@ -22,21 +24,11 @@
 using namespace spa;
 using namespace spa::serve;
 
-uint64_t spa::serve::fnv1a64(const void *Data, size_t Len, uint64_t Seed) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = Seed ? Seed : 14695981039346656037ull;
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 namespace {
 
 /// Incremental FNV-1a accumulator for the structured hashes below.
 struct Fnv {
-  uint64_t H = 14695981039346656037ull;
+  uint64_t H = FnvOffsetBasis;
 
   void bytes(const void *Data, size_t Len) { H = fnv1a64(Data, Len, H); }
   void u8(uint8_t V) { bytes(&V, 1); }
@@ -167,14 +159,9 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
   for (uint32_t Node = 0; Node < N; ++Node)
     P.Members[DC.CompOfNode[Node]].push_back(Node); // Ascending by loop.
 
-  // Scheduling inputs the engine derives identically (core/Fixpoint.h).
-  std::vector<uint32_t> PointRpo = computeSuperRpo(Prog, CG);
-  std::vector<bool> WidenPoint = computeWideningPoints(Prog, CG);
-  std::vector<uint32_t> Prio(N);
-  for (uint32_t I = 0; I < N; ++I) {
-    uint32_t R2 = 2 * PointRpo[Graph.anchor(I).value()] + 1;
-    Prio[I] = Graph.isPhi(I) ? R2 - 1 : R2;
-  }
+  // The engine's own schedule (core/Fixpoint.h).
+  SparseSchedule Sched = computeSparseSchedule(Prog, CG, Graph);
+  const std::vector<uint32_t> &Prio = Sched.Prio;
 
   // Member-index map, rebuilt per component (only member slots are ever
   // read, so stale non-member slots from the previous component are
@@ -240,7 +227,7 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
       }
       hashLocList(F, Prog, Graph.defs(Node));
       hashLocList(F, Prog, Graph.uses(Node));
-      F.u8(WidenPoint[Graph.anchor(Node).value()] ? 1 : 0);
+      F.u8(Sched.WidenNode[Node] ? 1 : 0);
       F.u32(RankOf(Prio[Node]));
 
       // Dependency edges, destination remapped (components are closed,
@@ -543,9 +530,9 @@ ServeErrc Service::analyze(const AnalyzeRequest &Req, AnalyzeResponse &Resp,
   // Fast path: byte-identical request (the repeated-CI-request case) —
   // skip even the parse.  Keyed on the raw bytes plus the snapshot flag,
   // which changes how they are interpreted.
-  uint64_t SrcDigest = fnv1a64(Req.Program.data(), Req.Program.size(),
-                               (Req.Flags & ReqFlagSnapshot) ? 0x9e3779b9ull
-                                                             : 0);
+  uint64_t SrcDigest =
+      fnv1a64(Req.Program.data(), Req.Program.size(),
+              (Req.Flags & ReqFlagSnapshot) ? 0x9e3779b9ull : FnvOffsetBasis);
   if (Incremental) {
     auto MIt = SrcMemo.find(SrcDigest);
     if (MIt != SrcMemo.end()) {

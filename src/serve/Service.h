@@ -130,10 +130,6 @@ private:
   std::unordered_map<std::string, double> LastCounters;
 };
 
-/// FNV-1a 64 over arbitrary bytes (the digest primitive the cache keys
-/// on; matches the spa-ir-v1 section checksum function).
-uint64_t fnv1a64(const void *Data, size_t Len, uint64_t Seed = 0);
-
 /// Result digest: FNV-1a over every sparse In/Out buffer (sorted COW
 /// map iteration and canonical bottom intervals make this deterministic
 /// for identical results, at any --jobs).  The warm-vs-cold correctness

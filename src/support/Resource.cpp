@@ -6,6 +6,8 @@
 
 #include "support/Resource.h"
 
+#include "support/ByteIO.h"
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -76,25 +78,15 @@ spa::runInChild(const std::function<std::vector<double>()> &Job,
 
   if (Child == 0) {
     // Child: run the job, ship the length-prefixed payload through the
-    // pipe.  Writes loop because payloads may exceed PIPE_BUF.
+    // pipe.
     close(Pipe[0]);
     std::vector<double> Payload = Job();
     uint32_t Count = static_cast<uint32_t>(
         Payload.size() < MaxPayloadDoubles ? Payload.size()
                                            : MaxPayloadDoubles);
-    auto WriteAll = [&](const void *Data, size_t Len) {
-      const char *P = static_cast<const char *>(Data);
-      while (Len > 0) {
-        ssize_t N = write(Pipe[1], P, Len);
-        if (N <= 0)
-          _exit(1);
-        P += N;
-        Len -= static_cast<size_t>(N);
-      }
-    };
-    WriteAll(&Count, sizeof(Count));
-    if (Count > 0)
-      WriteAll(Payload.data(), Count * sizeof(double));
+    if (!writeFull(Pipe[1], &Count, sizeof(Count)) ||
+        !writeFull(Pipe[1], Payload.data(), Count * sizeof(double)))
+      _exit(1);
     close(Pipe[1]);
     _exit(0);
   }
@@ -126,22 +118,13 @@ spa::runInChild(const std::function<std::vector<double>()> &Job,
   Result.PeakRssKiB = static_cast<uint64_t>(Usage.ru_maxrss);
   uint32_t Count = 0;
   if (Exited && WIFEXITED(Status) && WEXITSTATUS(Status) == 0 &&
-      read(Pipe[0], &Count, sizeof(Count)) == sizeof(Count) &&
+      readFull(Pipe[0], &Count, sizeof(Count)) &&
       Count <= MaxPayloadDoubles) {
-    Result.Ok = true;
     Result.Payload.resize(Count);
-    char *P = reinterpret_cast<char *>(Result.Payload.data());
-    size_t Left = Count * sizeof(double);
-    while (Left > 0) {
-      ssize_t N = read(Pipe[0], P, Left);
-      if (N <= 0) {
-        Result.Ok = false;
-        Result.Payload.clear();
-        break;
-      }
-      P += N;
-      Left -= static_cast<size_t>(N);
-    }
+    Result.Ok = readFull(Pipe[0], Result.Payload.data(),
+                         Count * sizeof(double));
+    if (!Result.Ok)
+      Result.Payload.clear();
   }
   close(Pipe[0]);
   return Result;

@@ -13,6 +13,7 @@
 #include "obs/MetricsSink.h"
 #include "obs/Postmortem.h"
 #include "obs/Trace.h"
+#include "support/ByteIO.h"
 #include "support/Fault.h"
 #include "support/Resource.h"
 #include "support/ThreadPool.h"
@@ -48,94 +49,34 @@ constexpr size_t MaxResultSpanBytes = 256 * 1024;
 // Result frame encoding (worker -> parent)
 //===----------------------------------------------------------------------===//
 
-void putU32(std::vector<uint8_t> &B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-void putU64(std::vector<uint8_t> &B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-void putF64(std::vector<uint8_t> &B, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, 8);
-  putU64(B, Bits);
-}
-
-struct FrameCursor {
-  const uint8_t *Data;
-  size_t Size, Pos = 0;
-  bool Fail = false;
-
-  bool need(size_t N) {
-    if (Fail || Size - Pos < N) {
-      Fail = true;
-      return false;
-    }
-    return true;
-  }
-  uint8_t u8() { return need(1) ? Data[Pos++] : 0; }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-  double f64() {
-    uint64_t Bits = u64();
-    double V;
-    std::memcpy(&V, &Bits, 8);
-    return V;
-  }
-  std::string str() {
-    uint32_t N = u32();
-    if (!need(N))
-      return {};
-    std::string S(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return S;
-  }
-};
-
 std::vector<uint8_t> encodeResult(uint32_t Index, const BatchItemResult &R,
                                   const std::vector<uint8_t> &SpanBuf) {
-  std::vector<uint8_t> B;
-  putU32(B, Index);
-  B.push_back(R.Ok);
-  B.push_back(static_cast<uint8_t>(R.Outcome));
-  B.push_back(R.TimedOut);
-  B.push_back(R.Degraded);
-  putU32(B, R.Checks);
-  putU32(B, R.Alarms);
-  putF64(B, R.Seconds);
-  putU64(B, R.PeakRssKiB);
-  putU64(B, R.BudgetSteps);
-  putU64(B, R.LedgerVisits);
-  putU64(B, R.LedgerWidenings);
-  putU64(B, R.LedgerGrowth);
-  putU64(B, R.LedgerTimeMicros);
-  putU32(B, static_cast<uint32_t>(R.Error.size()));
-  B.insert(B.end(), R.Error.begin(), R.Error.end());
+  ByteWriter W;
+  W.u32(Index);
+  W.u8(R.Ok);
+  W.u8(static_cast<uint8_t>(R.Outcome));
+  W.u8(R.TimedOut);
+  W.u8(R.Degraded);
+  W.u32(R.Checks);
+  W.u32(R.Alarms);
+  W.f64(R.Seconds);
+  W.u64(R.PeakRssKiB);
+  W.u64(R.BudgetSteps);
+  W.u64(R.LedgerVisits);
+  W.u64(R.LedgerWidenings);
+  W.u64(R.LedgerGrowth);
+  W.u64(R.LedgerTimeMicros);
+  W.str(R.Error);
   // Trailing span section: the worker's locally recorded trace spans
   // (obs/Trace.h drainSerialized format; zero length = not tracing).
-  putU32(B, static_cast<uint32_t>(SpanBuf.size()));
-  B.insert(B.end(), SpanBuf.begin(), SpanBuf.end());
-  return B;
+  W.u32(static_cast<uint32_t>(SpanBuf.size()));
+  W.bytes(SpanBuf.data(), SpanBuf.size());
+  return std::move(W.Buf);
 }
 
 bool decodeResult(const uint8_t *Data, size_t Size, uint32_t &Index,
                   BatchItemResult &R, std::vector<uint8_t> &SpanBuf) {
-  FrameCursor C{Data, Size};
+  ByteReader C(Data, Size);
   Index = C.u32();
   R.Ok = C.u8();
   uint8_t Outcome = C.u8();
@@ -155,39 +96,9 @@ bool decodeResult(const uint8_t *Data, size_t Size, uint32_t &Index,
   R.LedgerTimeMicros = C.u64();
   R.Error = C.str();
   uint32_t SpanLen = C.u32();
-  if (!C.Fail && SpanLen > 0 && C.need(SpanLen)) {
-    SpanBuf.assign(C.Data + C.Pos, C.Data + C.Pos + SpanLen);
-    C.Pos += SpanLen;
-  }
-  return !C.Fail && C.Pos == C.Size;
-}
-
-bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
-  size_t Off = 0;
-  while (Off < Size) {
-    ssize_t N = write(Fd, Data + Off, Size - Off);
-    if (N <= 0) {
-      if (N < 0 && errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool readAll(int Fd, uint8_t *Data, size_t Size) {
-  size_t Off = 0;
-  while (Off < Size) {
-    ssize_t N = read(Fd, Data + Off, Size - Off);
-    if (N <= 0) {
-      if (N < 0 && errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
+  if (const uint8_t *Spans = C.take(SpanLen))
+    SpanBuf.assign(Spans, Spans + SpanLen);
+  return C.done();
 }
 
 /// Hard wall-clock limit of one attempt run with \p A (0 = none): the
@@ -219,17 +130,13 @@ struct WorkerContext {
 [[noreturn]] void workerLoop(int DispatchFd, int ResultFd,
                              const WorkerContext &Ctx) {
   for (;;) {
-    uint8_t Frame[DispatchFrameBytes];
-    if (!readAll(DispatchFd, Frame, sizeof(Frame)))
+    uint8_t Buf[DispatchFrameBytes];
+    if (!readFull(DispatchFd, Buf, sizeof(Buf)))
       _exit(0); // Parent died or closed the pipe: nothing left to do.
-    uint32_t Index = 0, Tier = 0;
-    uint64_t ParentSpan = 0;
-    for (int I = 0; I < 4; ++I) {
-      Index |= static_cast<uint32_t>(Frame[I]) << (8 * I);
-      Tier |= static_cast<uint32_t>(Frame[4 + I]) << (8 * I);
-    }
-    for (int I = 0; I < 8; ++I)
-      ParentSpan |= static_cast<uint64_t>(Frame[8 + I]) << (8 * I);
+    ByteReader Frame(Buf, sizeof(Buf));
+    uint32_t Index = Frame.u32();
+    uint32_t Tier = Frame.u32();
+    uint64_t ParentSpan = Frame.u64();
     if (Index == ShutdownIndex)
       _exit(0);
     if (Index >= Ctx.Items.size() || Tier > 1)
@@ -267,10 +174,10 @@ struct WorkerContext {
     if (obs::Tracer::global().enabled())
       SpanBuf = obs::Tracer::global().drainSerialized(MaxResultSpanBytes);
     std::vector<uint8_t> Payload = encodeResult(Index, R, SpanBuf);
-    std::vector<uint8_t> Out;
-    putU32(Out, static_cast<uint32_t>(Payload.size()));
-    Out.insert(Out.end(), Payload.begin(), Payload.end());
-    if (!writeAll(ResultFd, Out.data(), Out.size()))
+    ByteWriter Out;
+    Out.u32(static_cast<uint32_t>(Payload.size()));
+    Out.bytes(Payload.data(), Payload.size());
+    if (!writeFull(ResultFd, Out.Buf.data(), Out.Buf.size()))
       _exit(0);
   }
 }
@@ -563,13 +470,10 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
     uint64_t Span = obs::Tracer::global().enabled()
                         ? obs::Tracer::global().allocSpanId()
                         : 0;
-    uint8_t Frame[DispatchFrameBytes];
-    for (int K = 0; K < 4; ++K) {
-      Frame[K] = static_cast<uint8_t>(I >> (8 * K));
-      Frame[4 + K] = static_cast<uint8_t>(Tier >> (8 * K));
-    }
-    for (int K = 0; K < 8; ++K)
-      Frame[8 + K] = static_cast<uint8_t>(Span >> (8 * K));
+    ByteWriter Frame;
+    Frame.u32(I);
+    Frame.u32(Tier);
+    Frame.u64(Span);
     W.Item = static_cast<int>(I);
     W.Tier = Tier;
     W.SpanId = Span;
@@ -580,7 +484,7 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
     Result.Timing[I].DispatchSeconds = W.DispatchSeconds;
     Result.Timing[I].Assignments += 1;
     SPA_OBS_JOURNAL(ShardDispatch, I, WIdx);
-    if (!writeAll(W.DispatchFd, Frame, sizeof(Frame)))
+    if (!writeFull(W.DispatchFd, Frame.Buf.data(), Frame.Buf.size()))
       Retire(WIdx, /*KilledAtLimit=*/false); // Died holding I.
   };
 
@@ -647,9 +551,7 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
       size_t Pos = 0;
       bool Retired = false; // W may now be a fresh replacement.
       while (W.Buf.size() - Pos >= 4) {
-        uint32_t Len = 0;
-        for (int K = 0; K < 4; ++K)
-          Len |= static_cast<uint32_t>(W.Buf[Pos + K]) << (8 * K);
+        uint32_t Len = ByteReader(W.Buf.data() + Pos, 4).u32();
         if (Len == obs::PostmortemPipeMagic) {
           // A dying worker's postmortem summary; its EOF follows.
           if (W.Buf.size() - Pos < 4 + sizeof(W.Note))
@@ -688,13 +590,14 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
   }
 
   // Phase 4: shutdown and reap.
-  uint8_t Bye[DispatchFrameBytes] = {0};
-  for (int K = 0; K < 4; ++K)
-    Bye[K] = static_cast<uint8_t>(ShutdownIndex >> (8 * K));
+  ByteWriter Bye;
+  Bye.u32(ShutdownIndex);
+  Bye.u32(0);
+  Bye.u64(0);
   for (WorkerHandle &W : Workers) {
     if (W.Pid <= 0)
       continue;
-    writeAll(W.DispatchFd, Bye, sizeof(Bye));
+    writeFull(W.DispatchFd, Bye.Buf.data(), Bye.Buf.size());
     close(W.DispatchFd);
     close(W.ResultFd);
     waitpid(W.Pid, nullptr, 0);

@@ -13,6 +13,9 @@
 ///    reuse actually firing (serve.partitions.reused > 0).  Plus the
 ///    LRU bounds, the --no-incremental ablation, and the one-shot
 ///    injected fault.
+///  * Payload decoders (socket-free): every proper prefix of each payload
+///    kind is refused, and every byte flip or 0xffffffff word is either
+///    refused or decoded to a value that re-encodes to the same bytes.
 ///  * Wire protocol (socket): lifecycle with sequential and concurrent
 ///    clients, typed rejection of bad handshakes and oversized frames.
 ///  * Snapshot v2 depgraph section: encode/decode round trip, the
@@ -42,6 +45,7 @@
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "serve/Service.h"
+#include "support/Resource.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -49,6 +53,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -722,6 +728,150 @@ TEST(DepSnapshot, PrebuiltGraphWarmStartIsBitIdentical) {
   AnalysisRun Warm = analyzeProgram(*Prog, WarmOpts);
   ASSERT_TRUE(Warm.Sparse);
   EXPECT_EQ(hashSparseStates(*Warm.Sparse), hashSparseStates(*Cold.Sparse));
+}
+
+//===----------------------------------------------------------------------===//
+// Payload decoders under mutation
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One payload kind: a valid encoding plus its decoder, which answers the
+/// re-encoding of what it accepted (nullopt when it refused the bytes).
+struct PayloadCase {
+  const char *Name;
+  std::vector<uint8_t> Bytes;
+  std::function<std::optional<std::vector<uint8_t>>(
+      const std::vector<uint8_t> &)>
+      Reencode;
+  std::vector<size_t> StrLenAt; ///< Offsets of the u32 string lengths.
+  int PadAt = -1;               ///< A byte the decoder reads and ignores.
+};
+
+std::vector<PayloadCase> payloadCases() {
+  AnalyzeRequest Req;
+  Req.Flags = ReqFlagCheck;
+  Req.Jobs = 3;
+  Req.Program = "fun main() { x = 1; while (x < 10) { x = x + 1; } }";
+  AnalyzeResponse Resp;
+  Resp.ResultDigest = 0x0123456789abcdefull;
+  Resp.ProgramDigest = 42;
+  Resp.PartitionsTotal = 5;
+  Resp.PartitionsReused = 3;
+  Resp.PartitionsSolved = 2;
+  Resp.CacheHit = 1;
+  Resp.Checks = 7;
+  Resp.Alarms = 1;
+  Resp.WallSeconds = 0.25;
+  Resp.LedgerVisits = 1000;
+  Resp.LedgerGrowth = 12;
+  Resp.AlarmsText = "main:3 buf[i] size [1, 6] index [0, 6]\n";
+  Resp.InvariantsText = "x -> [10, 10]\n";
+  Resp.MetricsJson = "{\"fixpoint.visits\": 1000}";
+  SubscribeRequest Sub;
+  Sub.IntervalMs = 250;
+  Sub.MaxFrames = 4;
+  const std::string Message = "build error: line 1: unexpected ';'";
+
+  size_t RespStrings = 8 + 8 + 4 * 3 + 4 + 4 * 2 + 8 * 3;
+  return {
+      {"request", encodeAnalyzeRequest(Req),
+       [](const std::vector<uint8_t> &B)
+           -> std::optional<std::vector<uint8_t>> {
+         AnalyzeRequest Out;
+         if (!decodeAnalyzeRequest(B, Out))
+           return std::nullopt;
+         return encodeAnalyzeRequest(Out);
+       },
+       {8}},
+      {"response", encodeAnalyzeResponse(Resp),
+       [](const std::vector<uint8_t> &B)
+           -> std::optional<std::vector<uint8_t>> {
+         AnalyzeResponse Out;
+         if (!decodeAnalyzeResponse(B, Out))
+           return std::nullopt;
+         return encodeAnalyzeResponse(Out);
+       },
+       {RespStrings, RespStrings + 4 + Resp.AlarmsText.size(),
+        RespStrings + 8 + Resp.AlarmsText.size() +
+            Resp.InvariantsText.size()},
+       31},
+      {"error", encodeError(ServeErrc::BuildError, Message),
+       [](const std::vector<uint8_t> &B)
+           -> std::optional<std::vector<uint8_t>> {
+         ServeErrc Code = ServeErrc::None;
+         std::string Text;
+         if (!decodeError(B, Code, Text))
+           return std::nullopt;
+         return encodeError(Code, Text);
+       },
+       {2}},
+      {"string", encodeString(Message),
+       [](const std::vector<uint8_t> &B)
+           -> std::optional<std::vector<uint8_t>> {
+         std::string Text;
+         if (!decodeString(B, Text))
+           return std::nullopt;
+         return encodeString(Text);
+       },
+       {0}},
+      {"subscribe", encodeSubscribeRequest(Sub),
+       [](const std::vector<uint8_t> &B)
+           -> std::optional<std::vector<uint8_t>> {
+         SubscribeRequest Out;
+         if (!decodeSubscribeRequest(B, Out))
+           return std::nullopt;
+         return encodeSubscribeRequest(Out);
+       },
+       {}},
+  };
+}
+
+} // namespace
+
+// The socket-free half of "never crash on a serve frame": every payload
+// decoder is total over mutated bytes.  What it accepts re-encodes to the
+// very bytes it read (pad byte aside), so nothing is skipped or read past
+// the end; the sanitizer trees run this under ASan/UBSan.
+TEST(ServeProtocol, MutatedPayloadsDecodeTotally) {
+  for (const PayloadCase &C : payloadCases()) {
+    SCOPED_TRACE(C.Name);
+    ASSERT_EQ(C.Reencode(C.Bytes), C.Bytes);
+    auto Check = [&](const std::vector<uint8_t> &Bad) {
+      std::optional<std::vector<uint8_t>> Got = C.Reencode(Bad);
+      if (!Got)
+        return;
+      std::vector<uint8_t> Want = Bad;
+      if (C.PadAt >= 0)
+        Want[C.PadAt] = 0;
+      EXPECT_EQ(*Got, Want);
+    };
+    for (size_t Len = 0; Len < C.Bytes.size(); ++Len) {
+      std::vector<uint8_t> Cut(C.Bytes.begin(), C.Bytes.begin() + Len);
+      EXPECT_FALSE(C.Reencode(Cut)) << "prefix " << Len;
+    }
+    for (size_t Pos = 0; Pos < C.Bytes.size(); ++Pos)
+      for (uint8_t Mask : {0x01, 0x80, 0xff}) {
+        std::vector<uint8_t> Bad = C.Bytes;
+        Bad[Pos] ^= Mask;
+        Check(Bad);
+      }
+    for (size_t Pos = 0; Pos + 4 <= C.Bytes.size(); Pos += 4) {
+      std::vector<uint8_t> Bad = C.Bytes;
+      std::fill(Bad.begin() + Pos, Bad.begin() + Pos + 4, 0xff);
+      Check(Bad);
+    }
+    // A 4 GiB string length fails on the length itself: the decoder
+    // allocates nothing for it (the counting allocator would show the
+    // spike; sanitizer builds run without it).
+    for (size_t At : C.StrLenAt) {
+      std::vector<uint8_t> Bad = C.Bytes;
+      std::fill(Bad.begin() + At, Bad.begin() + At + 4, 0xff);
+      uint64_t PeakBefore = peakTrackedHeapBytes();
+      EXPECT_FALSE(C.Reencode(Bad)) << "length at " << At;
+      EXPECT_LT(peakTrackedHeapBytes() - PeakBefore, 1u << 20);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
