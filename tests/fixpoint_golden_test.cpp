@@ -26,8 +26,15 @@
 /// edge (each such phi runs exactly once, on an empty input).  Dropping
 /// or renumbering edgeless phis leaves these lines unchanged; anything
 /// that moves a point state, a live phi state or a visit to a node with
-/// an edge changes them.  Regenerate the file only for an *intentional*
-/// result change with
+/// an edge changes them.
+///
+/// Every octagon run also gets a `<engine>-matrix` line over the whole
+/// matrix of every pack.  Oct::str() prints the projections and only
+/// v − w ≤ c for v < w, so it leaves the sum bounds and the w − v bounds
+/// out; the matrix lines digest project(v), projectDiff(v, w) and
+/// projectSum(v, w) of every pair instead, which by coherence name every
+/// entry of the (tightly closed) matrix.  Regenerate the file only for an
+/// *intentional* result change with
 ///
 ///   SPA_UPDATE_GOLDEN=1 ./fixpoint_golden_test      (writes tests/golden)
 ///   SPA_UPDATE_GOLDEN=<dir> ./fixpoint_golden_test  (writes <dir>)
@@ -154,17 +161,35 @@ std::string intervalLine(const std::string &Name, const char *EName,
   return line(Name, EName, "interval", DI, Visits);
 }
 
+/// Every bound of every pack's matrix (see the file comment).
+std::string octMatrixStr(const OctState &S) {
+  std::string R;
+  for (const auto &[Pack, V] : S) {
+    R += 'p';
+    R += std::to_string(Pack.value());
+    R += '=';
+    for (uint32_t A = 0; A < V.numVars(); ++A) {
+      R += V.project(A).str();
+      for (uint32_t B = A + 1; B < V.numVars(); ++B)
+        R += V.projectDiff(A, B).str() + V.projectSum(A, B).str();
+    }
+    R += ';';
+  }
+  return R;
+}
+
+template <typename StrFn>
 std::string octagonLine(const std::string &Name, const char *EName,
-                        const OctRun &Oct) {
+                        const OctRun &Oct, StrFn Str) {
   EXPECT_FALSE(Oct.timedOut() || Oct.degraded()) << Name;
   Digest DO;
   uint64_t Visits = 0;
   if (Oct.Dense) {
-    addStates(DO, "post", Oct.Dense->Post, octStr);
+    addStates(DO, "post", Oct.Dense->Post, Str);
     Visits = Oct.Dense->Visits;
   } else {
-    addStates(DO, "in", Oct.Sparse->In, octStr);
-    addStates(DO, "out", Oct.Sparse->Out, octStr);
+    addStates(DO, "in", Oct.Sparse->In, Str);
+    addStates(DO, "out", Oct.Sparse->Out, Str);
     Visits = Oct.Sparse->Visits;
   }
   DO.add(std::to_string(Visits));
@@ -215,22 +240,23 @@ std::string keyedOctagonLine(const std::string &Name, const OctRun &Oct) {
   return keyedLine(Name, "octagon", *Oct.Graph, *Oct.Sparse, octStr);
 }
 
-/// Lines per input: three engines by two domains, plus the two keyed
-/// lines of the (bypass-on) sparse runs.
-constexpr size_t LinesPerInput = 8;
+/// Lines per input: three engines by two domains, the two keyed lines of
+/// the (bypass-on) sparse runs, and the three octagon matrix lines.
+constexpr size_t LinesPerInput = 11;
 
 /// The paperSuite(0.02) programs, sparse engine only: interval bypass on
-/// and its keyed line, interval bypass off, octagon and its keyed line.
+/// and its keyed line, interval bypass off, octagon with its keyed and
+/// matrix lines.
 constexpr double SuiteScale = 0.02;
-constexpr size_t LinesPerSuiteProgram = 5;
+constexpr size_t LinesPerSuiteProgram = 6;
 
 /// One line per (program, engine, domain): "<prog> <engine> <domain>
 /// <digest> <visits>".
 std::vector<std::string> computeLines() {
-  const std::pair<EngineKind, const char *> Engines[] = {
-      {EngineKind::Vanilla, "vanilla"},
-      {EngineKind::Base, "base"},
-      {EngineKind::Sparse, "sparse"}};
+  const std::tuple<EngineKind, const char *, const char *> Engines[] = {
+      {EngineKind::Vanilla, "vanilla", "vanilla-matrix"},
+      {EngineKind::Base, "base", "base-matrix"},
+      {EngineKind::Sparse, "sparse", "sparse-matrix"}};
   std::vector<std::string> Lines;
   for (const Input &In : inputs()) {
     BuildResult B = buildProgramFromSource(In.Source);
@@ -238,7 +264,7 @@ std::vector<std::string> computeLines() {
     if (!B.ok())
       continue;
     const Program &Prog = *B.Prog;
-    for (const auto &[Engine, EName] : Engines) {
+    for (const auto &[Engine, EName, MatrixName] : Engines) {
       AnalyzerOptions AOpts;
       AOpts.Engine = Engine;
       AnalysisRun Itv = analyzeProgram(Prog, AOpts);
@@ -246,7 +272,8 @@ std::vector<std::string> computeLines() {
       OctOptions OOpts;
       OOpts.Engine = Engine;
       OctRun Oct = runOctAnalysis(Prog, OOpts);
-      Lines.push_back(octagonLine(In.Name, EName, Oct));
+      Lines.push_back(octagonLine(In.Name, EName, Oct, octStr));
+      Lines.push_back(octagonLine(In.Name, MatrixName, Oct, octMatrixStr));
       if (Engine == EngineKind::Sparse) {
         Lines.push_back(keyedIntervalLine(In.Name, Itv));
         Lines.push_back(keyedOctagonLine(In.Name, Oct));
@@ -268,8 +295,9 @@ std::vector<std::string> computeLines() {
     Lines.push_back(
         intervalLine(Name, "sparse-nobypass", analyzeProgram(Prog, AOpts)));
     OctRun Oct = runOctAnalysis(Prog, {});
-    Lines.push_back(octagonLine(Name, "sparse", Oct));
+    Lines.push_back(octagonLine(Name, "sparse", Oct, octStr));
     Lines.push_back(keyedOctagonLine(Name, Oct));
+    Lines.push_back(octagonLine(Name, "sparse-matrix", Oct, octMatrixStr));
   }
   return Lines;
 }
