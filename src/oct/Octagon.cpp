@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <vector>
 
 using namespace spa;
 
@@ -27,38 +28,117 @@ int64_t halfFloor(int64_t B) {
 
 namespace {
 thread_local uint64_t ClosureTicks = 0;
+
+/// One closure, full or incremental.
+void countClosure() {
+  SPA_OBS_COUNT("oct.closures", 1);
+  ++ClosureTicks;
+}
+
+/// A + B along a path; an absent bound (+∞) absorbs.
+int64_t pathAdd(int64_t A, int64_t B) {
+  if (A == bound::PosInf || B == bound::PosInf)
+    return bound::PosInf;
+  return bound::add(A, B);
+}
 } // namespace
 
 uint64_t spa::oct_detail::closureTicks() { return ClosureTicks; }
 
 Oct::Oct(uint32_t NumVars) : N(NumVars) {
-  M.assign(4ull * N * N, bound::PosInf);
+  if (N == 0)
+    return;
+  M = std::make_shared_for_overwrite<int64_t[]>(size());
+  std::fill_n(M.get(), size(), bound::PosInf);
   for (uint32_t I = 0; I < 2 * N; ++I)
     at(I, I) = 0;
 }
 
+Oct Oct::blank(uint32_t NumVars) {
+  Oct O;
+  O.N = NumVars;
+  if (NumVars)
+    O.M = std::make_shared_for_overwrite<int64_t[]>(O.size());
+  return O;
+}
+
 Oct Oct::bottom(uint32_t NumVars) {
-  // Bottom carries no constraints; skip the 4N² allocation (every
-  // operation guards on Empty before touching M).
-  Oct O(0);
+  // Bottom carries no constraints and no buffer (every operation guards
+  // on Empty before touching M).
+  Oct O;
   O.N = NumVars;
   O.Empty = true;
   return O;
 }
 
+int64_t *Oct::mut() {
+  if (M.use_count() > 1) {
+    SPA_OBS_COUNT("oct.cow.detaches", 1);
+    std::shared_ptr<int64_t[]> Copy =
+        std::make_shared_for_overwrite<int64_t[]>(size());
+    std::copy_n(M.get(), size(), Copy.get());
+    M = std::move(Copy);
+  }
+  return M.get();
+}
+
 void Oct::dropMatrix() {
   Empty = true;
-  std::vector<int64_t>().swap(M);
+  M.reset();
+}
+
+bool Oct::dropIfInfeasible() {
+  for (uint32_t I = 0; I < 2 * N; ++I) {
+    if (at(I, I) < 0) {
+      dropMatrix();
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Oct::tighten() {
+  // ±2v ≤ c implies ±2v ≤ 2⌊c/2⌋.
+  bool Changed = false;
+  for (uint32_t I = 0; I < 2 * N; ++I) {
+    int64_t B = at(I, bar(I));
+    if (B != bound::PosInf) {
+      int64_t T = 2 * halfFloor(B);
+      if (T < B) {
+        at(I, bar(I)) = T;
+        Changed = true;
+      }
+    }
+  }
+  return Changed;
+}
+
+bool Oct::strengthen() {
+  // xj − xi ≤ (ubar(i) + ubar(j)) / 2.
+  bool Changed = false;
+  for (uint32_t I = 0; I < 2 * N; ++I) {
+    int64_t UI = at(I, bar(I));
+    if (UI == bound::PosInf)
+      continue;
+    for (uint32_t J = 0; J < 2 * N; ++J) {
+      int64_t UJ = at(bar(J), J);
+      if (UJ == bound::PosInf)
+        continue;
+      int64_t S = bound::add(halfFloor(UI), halfFloor(UJ));
+      if (S < at(I, J)) {
+        at(I, J) = S;
+        Changed = true;
+      }
+    }
+  }
+  return Changed;
 }
 
 void Oct::close() {
-  if (Empty)
+  if (Empty || N == 0)
     return;
+  countClosure();
   uint32_t D = 2 * N;
-  if (D == 0)
-    return;
-  SPA_OBS_COUNT("oct.closures", 1);
-  ++ClosureTicks;
 
   // Iterate (shortest paths; strengthening; integer tightening) to a
   // fixpoint.  Matrices are at most 20x20 (pack size cap), so the extra
@@ -86,54 +166,64 @@ void Oct::close() {
     }
     // Infeasible systems drive entries unboundedly negative; stop at the
     // first negative diagonal entry.
-    for (uint32_t I = 0; I < D; ++I) {
-      if (at(I, I) < 0) {
-        dropMatrix();
-        return;
-      }
-    }
-    // Integer tightening of unary bounds: ±2v ≤ c implies ±2v ≤ 2⌊c/2⌋.
-    for (uint32_t I = 0; I < D; ++I) {
-      int64_t B = at(I, bar(I));
-      if (B != bound::PosInf) {
-        int64_t T = 2 * halfFloor(B);
-        if (T < B) {
-          at(I, bar(I)) = T;
-          Changed = true;
-        }
-      }
-    }
-    // Strengthening: xj − xi ≤ (ubar(i) + ubar(j)) / 2.
-    for (uint32_t I = 0; I < D; ++I) {
-      int64_t UI = at(I, bar(I));
-      if (UI == bound::PosInf)
-        continue;
-      for (uint32_t J = 0; J < D; ++J) {
-        int64_t UJ = at(bar(J), J);
-        if (UJ == bound::PosInf)
-          continue;
-        int64_t S = bound::add(halfFloor(UI), halfFloor(UJ));
-        if (S < at(I, J)) {
-          at(I, J) = S;
-          Changed = true;
-        }
-      }
-    }
-  }
-
-  for (uint32_t I = 0; I < D; ++I) {
-    if (at(I, I) < 0) {
-      dropMatrix();
+    if (dropIfInfeasible())
       return;
-    }
+    Changed |= tighten();
+    Changed |= strengthen();
   }
+  dropIfInfeasible();
+}
+
+void Oct::constrain(uint32_t A, uint32_t B, int64_t C) {
+  if (Empty)
+    return;
+  countClosure();
+  // x_A − x_B̄ ≤ C is the edge P = B̄ → Q = A of weight C; by coherence it
+  // comes with the twin Q̄ → P̄.  A closed matrix that already implies the
+  // bound is its own closure.
+  uint32_t P = bar(B), Q = A, Pb = B, Qb = bar(A);
+  if (C >= at(P, Q))
+    return;
+  uint32_t D = 2 * N;
+  int64_t *X = mut();
+
+  // Shortest paths: a path that gains from the new edges takes each of
+  // them at most once, so every entry relaxes through
+  //   i ⇝ p → q ⇝ j,  i ⇝ q̄ → p̄ ⇝ j,  i ⇝ p → q ⇝ q̄ → p̄ ⇝ j,
+  //   i ⇝ q̄ → p̄ ⇝ p → q ⇝ j
+  // over the old matrix.  Row i reads its own old columns p and q̄ before
+  // writing; rows q and p̄, which every row reads, are kept aside.
+  std::vector<int64_t> Old(X + Q * D, X + (Q + 1) * D);
+  Old.insert(Old.end(), X + Pb * D, X + (Pb + 1) * D);
+  const int64_t *RowQ = Old.data(), *RowPb = Old.data() + D;
+  int64_t QQb = RowQ[Qb], PbP = RowPb[P];
+  for (uint32_t I = 0; I < D; ++I) {
+    int64_t *Row = X + I * D;
+    // The shortest i ⇝ q and i ⇝ p̄ that end on a new edge.
+    int64_t ToQ = std::min(pathAdd(Row[P], C),
+                           pathAdd(pathAdd(pathAdd(Row[Qb], C), PbP), C));
+    int64_t ToPb = std::min(pathAdd(Row[Qb], C),
+                            pathAdd(pathAdd(pathAdd(Row[P], C), QQb), C));
+    if (ToQ == bound::PosInf && ToPb == bound::PosInf)
+      continue;
+    for (uint32_t J = 0; J < D; ++J)
+      Row[J] = std::min({Row[J], pathAdd(ToQ, RowQ[J]),
+                         pathAdd(ToPb, RowPb[J])});
+  }
+  if (dropIfInfeasible())
+    return;
+  // On a shortest-path closed matrix, one tightening and one
+  // strengthening give the tight closure (Bagnara, Hill & Zaffanella).
+  tighten();
+  strengthen();
+  dropIfInfeasible();
 }
 
 bool Oct::operator==(const Oct &O) const {
   assert(N == O.N && "octagon arity mismatch");
   if (Empty || O.Empty)
     return Empty == O.Empty;
-  return M == O.M;
+  return M == O.M || std::equal(M.get(), M.get() + size(), O.M.get());
 }
 
 bool Oct::leq(const Oct &O) const {
@@ -142,7 +232,9 @@ bool Oct::leq(const Oct &O) const {
     return true;
   if (O.Empty)
     return false;
-  for (size_t I = 0; I < M.size(); ++I)
+  if (M == O.M)
+    return true;
+  for (size_t I = 0; I < size(); ++I)
     if (M[I] > O.M[I])
       return false;
   return true;
@@ -152,11 +244,11 @@ Oct Oct::join(const Oct &O) const {
   assert(N == O.N && "octagon arity mismatch");
   if (Empty)
     return O;
-  if (O.Empty)
+  if (O.Empty || M == O.M)
     return *this;
-  Oct R(N);
+  Oct R = blank(N);
   // The elementwise max of strongly closed DBMs is strongly closed.
-  for (size_t I = 0; I < M.size(); ++I)
+  for (size_t I = 0; I < size(); ++I)
     R.M[I] = std::max(M[I], O.M[I]);
   return R;
 }
@@ -165,8 +257,8 @@ Oct Oct::meet(const Oct &O) const {
   assert(N == O.N && "octagon arity mismatch");
   if (Empty || O.Empty)
     return bottom(N);
-  Oct R(N);
-  for (size_t I = 0; I < M.size(); ++I)
+  Oct R = blank(N);
+  for (size_t I = 0; I < size(); ++I)
     R.M[I] = std::min(M[I], O.M[I]);
   R.close();
   return R;
@@ -178,8 +270,8 @@ Oct Oct::widen(const Oct &O) const {
     return O;
   if (O.Empty)
     return *this;
-  Oct R(N);
-  for (size_t I = 0; I < M.size(); ++I)
+  Oct R = blank(N);
+  for (size_t I = 0; I < size(); ++I)
     R.M[I] = O.M[I] <= M[I] ? M[I] : bound::PosInf;
   // Note: re-closing a widened octagon can in principle defeat
   // termination; the analysis engines guard with a hard cut to ⊤ after
@@ -192,42 +284,42 @@ Oct Oct::narrow(const Oct &O) const {
   assert(N == O.N && "octagon arity mismatch");
   if (Empty || O.Empty)
     return O;
-  Oct R(N);
-  for (size_t I = 0; I < M.size(); ++I)
+  Oct R = blank(N);
+  for (size_t I = 0; I < size(); ++I)
     R.M[I] = M[I] == bound::PosInf ? O.M[I] : M[I];
   R.close();
   return R;
+}
+
+void Oct::forgetVar(uint32_t V) {
+  // Closed, so dropping rows/columns loses nothing.
+  mut();
+  uint32_t P = 2 * V;
+  for (uint32_t I = 0; I < 2 * N; ++I) {
+    at(P, I) = bound::PosInf;
+    at(P + 1, I) = bound::PosInf;
+    at(I, P) = bound::PosInf;
+    at(I, P + 1) = bound::PosInf;
+  }
+  at(P, P) = 0;
+  at(P + 1, P + 1) = 0;
 }
 
 Oct Oct::forget(uint32_t V) const {
   assert(V < N && "variable out of range");
   if (Empty)
     return *this;
-  Oct R = *this; // Closed, so dropping rows/columns loses nothing.
-  uint32_t P = 2 * V;
-  for (uint32_t I = 0; I < 2 * N; ++I) {
-    R.at(P, I) = bound::PosInf;
-    R.at(P + 1, I) = bound::PosInf;
-    R.at(I, P) = bound::PosInf;
-    R.at(I, P + 1) = bound::PosInf;
-  }
-  R.at(P, P) = 0;
-  R.at(P + 1, P + 1) = 0;
+  Oct R = *this;
+  R.forgetVar(V);
   return R;
 }
 
 Oct Oct::addSumConstraint(uint32_t V, bool PosV, uint32_t W, bool PosW,
                           int64_t C) const {
   assert(V < N && W < N && "variable out of range");
-  if (Empty)
-    return *this;
   // (sV·v) + (sW·w) ≤ C  with signed indices a, b:  x_a − x_b̄ ≤ C.
-  uint32_t A = 2 * V + (PosV ? 0 : 1);
-  uint32_t B = 2 * W + (PosW ? 0 : 1);
   Oct R = *this;
-  R.at(bar(B), A) = std::min(R.at(bar(B), A), C);
-  R.at(bar(A), B) = std::min(R.at(bar(A), B), C); // Coherence mirror.
-  R.close();
+  R.constrain(2 * V + (PosV ? 0 : 1), 2 * W + (PosW ? 0 : 1), C);
   return R;
 }
 
@@ -254,17 +346,17 @@ Oct Oct::addDiffConstraint(uint32_t V, uint32_t W, int64_t C) const {
 Oct Oct::assignInterval(uint32_t V, const Interval &Itv) const {
   if (Empty)
     return *this;
-  if (Itv.isBot()) {
-    // Assigning an unreachable value: the whole state is unreachable in
-    // the concrete; keep it conservative as ⊤ on v (the non-relational
-    // engine handles reachability the same way).
-    return forget(V);
-  }
+  // Assigning an unreachable value: the whole state is unreachable in the
+  // concrete; keep it conservative as ⊤ on v (the non-relational engine
+  // handles reachability the same way).
   Oct R = forget(V);
+  if (Itv.isBot())
+    return R;
+  // v ≤ hi and v ≥ lo (addUpperBound and addLowerBound), in place.
   if (Itv.hi() != bound::PosInf)
-    R = R.addUpperBound(V, Itv.hi());
+    R.constrain(2 * V, 2 * V, bound::mul(Itv.hi(), 2));
   if (Itv.lo() != bound::NegInf)
-    R = R.addLowerBound(V, Itv.lo());
+    R.constrain(2 * V + 1, 2 * V + 1, bound::mul(Itv.lo(), -2));
   return R;
 }
 
@@ -274,6 +366,7 @@ Oct Oct::assignVarPlusConst(uint32_t V, uint32_t W, int64_t C) const {
   if (V == W) {
     // v := v + c: shift every bound mentioning v.
     Oct R = *this;
+    R.mut();
     uint32_t P = 2 * V, Q = 2 * V + 1;
     for (uint32_t I = 0; I < 2 * N; ++I) {
       if (I == P || I == Q)
@@ -294,10 +387,13 @@ Oct Oct::assignVarPlusConst(uint32_t V, uint32_t W, int64_t C) const {
       R.at(P, Q) = bound::add(R.at(P, Q), -2 * C);
     return R;
   }
-  // v := w + c: forget v, then v − w ≤ c and w − v ≤ −c.
+  // v := w + c: forget v, then v − w ≤ c and w − v ≤ −c
+  // (addDiffConstraint), in place.
   Oct R = forget(V);
-  R = R.addDiffConstraint(V, W, C);
-  R = R.addDiffConstraint(W, V, -C);
+  if (C != bound::PosInf)
+    R.constrain(2 * V, 2 * W + 1, C);
+  if (-C != bound::PosInf)
+    R.constrain(2 * W, 2 * V + 1, -C);
   return R;
 }
 

@@ -11,9 +11,19 @@
 /// bound matrix over 2k "signed" variables: index 2i stands for +vi and
 /// 2i+1 for −vi, and M[i][j] bounds xj − xi ≤ M[i][j].
 ///
-/// The implementation keeps matrices strongly closed (shortest paths plus
-/// the unary-constraint strengthening step and integer tightening), which
-/// makes inclusion, equality, join, and projection exact.
+/// The implementation keeps matrices tightly closed (shortest paths plus
+/// integer tightening of the unary bounds and the strengthening step),
+/// which makes inclusion, equality, join, and projection exact.  Adding
+/// one constraint to a closed matrix closes it again incrementally in
+/// O(n²) (Chawdhary, Robbins & King, FMSD 2019; Bagnara, Hill & Zaffanella
+/// for the integer tight closure); meet, widening and narrowing run the
+/// full closure.  The tight closure is canonical, so both give the same
+/// matrix.
+///
+/// An octagon is a handle to one reference-counted bounds buffer: a copy
+/// shares it, and an operation that writes to a shared buffer first
+/// copies it (the copy-on-write rule of AbsState, DESIGN.md "Value
+/// sharing").  ⊥ and the zero-variable default hold no buffer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,15 +33,15 @@
 #include "domains/Interval.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 namespace spa {
 
 namespace oct_detail {
-/// Thread-local count of closure executions.  The octagon domain adapter
-/// snapshots deltas around each visit to attribute closure cost per
-/// control point in the ledger (PointCost::Closures).
+/// Thread-local count of closures, full or incremental.  The octagon
+/// domain adapter snapshots deltas around each visit to attribute closure
+/// cost per control point in the ledger (PointCost::Closures).
 uint64_t closureTicks();
 } // namespace oct_detail
 
@@ -91,12 +101,34 @@ public:
   std::string str() const;
 
 private:
+  size_t size() const { return 4ull * N * N; }
+  /// Writes need a buffer no other octagon shares (mut() first).
   int64_t &at(uint32_t I, uint32_t J) { return M[I * 2 * N + J]; }
   int64_t at(uint32_t I, uint32_t J) const { return M[I * 2 * N + J]; }
   static uint32_t bar(uint32_t I) { return I ^ 1; } // +v <-> −v.
 
-  /// Strong closure with integer tightening; sets Empty on infeasibility.
+  /// An octagon over \p NumVars variables whose fresh buffer the caller
+  /// fills.
+  static Oct blank(uint32_t NumVars);
+  /// The bounds for writing: copies the buffer first when it is shared
+  /// (oct.cow.detaches).
+  int64_t *mut();
+
+  /// Full strong closure with integer tightening; sets Empty on
+  /// infeasibility.
   void close();
+  /// Adds x_A − x_B̄ ≤ C (signed indices) and its coherent twin to this
+  /// closed octagon and closes it incrementally.
+  void constrain(uint32_t A, uint32_t B, int64_t C);
+  /// Removes every bound on variable \p V.
+  void forgetVar(uint32_t V);
+
+  /// Integer tightening of the unary bounds; true if a bound moved.
+  bool tighten();
+  /// The strengthening step; true if a bound moved.
+  bool strengthen();
+  /// Drops the matrix if a diagonal entry is negative (infeasible).
+  bool dropIfInfeasible();
 
   /// Marks the octagon infeasible and releases the matrix (Empty states
   /// hold no dead storage).
@@ -104,7 +136,9 @@ private:
 
   uint32_t N = 0;   ///< Variables (matrix is 2N x 2N).
   bool Empty = false;
-  std::vector<int64_t> M; ///< Row-major bounds; bound::PosInf = absent.
+  /// Row-major bounds, bound::PosInf = absent; shared between copies.
+  /// Null for ⊥ and for zero variables.
+  std::shared_ptr<int64_t[]> M;
 };
 
 } // namespace spa
