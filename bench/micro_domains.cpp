@@ -114,8 +114,8 @@ void BM_AbsStateCopy(benchmark::State &State) {
 BENCHMARK(BM_AbsStateCopy)
     ->ArgsProduct({{64, 1024, 16384}, {0, 1}});
 
-/// Pack-sized octagons: each constraint insertion re-runs the full O(n³)
-/// strong closure.
+/// Pack-sized octagons built one constraint at a time: each insertion
+/// closes the already closed matrix again incrementally, in O(n²).
 void BM_OctClose(benchmark::State &State) {
   uint32_t N = static_cast<uint32_t>(State.range(0));
   Rng R(13);

@@ -8,7 +8,9 @@
 /// Randomized properties of the octagon domain checked against
 /// brute-force enumeration over a bounded integer grid: satisfying
 /// points survive every operation that claims soundness, projections are
-/// exact on closed octagons, and the lattice laws hold.
+/// exact on closed octagons, and the lattice laws hold.  An added
+/// constraint closes to the same matrix as the full closure (meet), and
+/// writes to a copy never reach the octagon it shares a matrix with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -188,6 +190,60 @@ TEST_P(OctagonProperties, TransferSoundness) {
       Pt[V] = Itv.hi();
       EXPECT_TRUE(contains(IA, Pt));
     }
+  }
+}
+
+TEST_P(OctagonProperties, AddedConstraintClosesLikeTheFullClosure) {
+  // addSumConstraint closes incrementally; meet runs the full closure.
+  // The tight closure is canonical, so both give the same matrix.
+  Rng R(GetParam() * 2718281);
+  for (int Iter = 0; Iter < 40; ++Iter) {
+    uint32_t N = 2 + static_cast<uint32_t>(R.below(3));
+    Sample S = randomOctagon(R, N);
+    uint32_t V = static_cast<uint32_t>(R.below(N));
+    uint32_t W = static_cast<uint32_t>(R.below(N));
+    bool PosV = R.chance(50), PosW = R.chance(50);
+    int64_t C = R.range(-8, 8);
+    auto Full = [&](const Oct &O, bool PV, bool PW, int64_t K) {
+      return O.meet(Oct::top(N).addSumConstraint(V, PV, W, PW, K));
+    };
+    Oct Added = S.O.addSumConstraint(V, PosV, W, PosW, C);
+    EXPECT_EQ(Added, Full(S.O, PosV, PosW, C));
+    // The opposite bound one past C leaves no point: ⊥ on both sides.
+    Oct Infeasible = Added.addSumConstraint(V, !PosV, W, !PosW, -C - 1);
+    EXPECT_TRUE(Infeasible.isBottom());
+    EXPECT_EQ(Infeasible, Full(Added, !PosV, !PosW, -C - 1));
+  }
+}
+
+TEST_P(OctagonProperties, WritesToACopyLeaveTheOriginal) {
+  // Copies share one matrix; each operation below writes to the copy's
+  // result, which must not reach the original.
+  Rng R(GetParam() * 1618033);
+  for (int Iter = 0; Iter < 20; ++Iter) {
+    uint32_t N = 2 + static_cast<uint32_t>(R.below(2));
+    Sample S = randomOctagon(R, N);
+    const Oct Original = S.O;
+    const Oct Deep = Original.meet(Oct::top(N)); // A buffer of its own.
+    uint32_t V = static_cast<uint32_t>(R.below(N));
+    uint32_t W = static_cast<uint32_t>(R.below(N));
+    int64_t C = R.range(-3, 3);
+    Oct Copy = Original;
+    Copy = Copy.forget(V);
+    EXPECT_EQ(Original, Deep);
+    Copy = Original;
+    Copy = Copy.assignInterval(V, Interval(R.range(-4, 0), R.range(0, 4)));
+    EXPECT_EQ(Original, Deep);
+    Copy = Original;
+    Copy = Copy.assignVarPlusConst(V, W, C);
+    EXPECT_EQ(Original, Deep);
+    Copy = Original;
+    Copy = Copy.assignVarPlusConst(V, V, C);
+    EXPECT_EQ(Original, Deep);
+    Copy = Original;
+    Copy = Copy.addSumConstraint(V, R.chance(50), W, R.chance(50),
+                                 R.range(-6, 6));
+    EXPECT_EQ(Original, Deep);
   }
 }
 
