@@ -192,10 +192,14 @@ void Oct::constrain(uint32_t A, uint32_t B, int64_t C) {
   //   i ⇝ p → q ⇝ j,  i ⇝ q̄ → p̄ ⇝ j,  i ⇝ p → q ⇝ q̄ → p̄ ⇝ j,
   //   i ⇝ q̄ → p̄ ⇝ p → q ⇝ j
   // over the old matrix.  Row i reads its own old columns p and q̄ before
-  // writing; rows q and p̄, which every row reads, are kept aside.
-  std::vector<int64_t> Old(X + Q * D, X + (Q + 1) * D);
-  Old.insert(Old.end(), X + Pb * D, X + (Pb + 1) * D);
-  const int64_t *RowQ = Old.data(), *RowPb = Old.data() + D;
+  // writing; rows q and p̄, which every row reads, are kept aside (on the
+  // stack for pack-sized matrices).
+  constexpr uint32_t InlineDim = 32;
+  int64_t Inline[2 * InlineDim];
+  std::vector<int64_t> Heap(D > InlineDim ? 2 * D : 0);
+  int64_t *RowQ = D > InlineDim ? Heap.data() : Inline, *RowPb = RowQ + D;
+  std::copy_n(X + Q * D, D, RowQ);
+  std::copy_n(X + Pb * D, D, RowPb);
   int64_t QQb = RowQ[Qb], PbP = RowPb[P];
   for (uint32_t I = 0; I < D; ++I) {
     int64_t *Row = X + I * D;
