@@ -295,26 +295,21 @@ Oct Oct::narrow(const Oct &O) const {
   return R;
 }
 
-void Oct::forgetVar(uint32_t V) {
-  // Closed, so dropping rows/columns loses nothing.
-  mut();
-  uint32_t P = 2 * V;
-  for (uint32_t I = 0; I < 2 * N; ++I) {
-    at(P, I) = bound::PosInf;
-    at(P + 1, I) = bound::PosInf;
-    at(I, P) = bound::PosInf;
-    at(I, P + 1) = bound::PosInf;
-  }
-  at(P, P) = 0;
-  at(P + 1, P + 1) = 0;
-}
-
 Oct Oct::forget(uint32_t V) const {
   assert(V < N && "variable out of range");
   if (Empty)
     return *this;
-  Oct R = *this;
-  R.forgetVar(V);
+  Oct R = *this; // Closed, so dropping rows/columns loses nothing.
+  R.mut();
+  uint32_t P = 2 * V;
+  for (uint32_t I = 0; I < 2 * N; ++I) {
+    R.at(P, I) = bound::PosInf;
+    R.at(P + 1, I) = bound::PosInf;
+    R.at(I, P) = bound::PosInf;
+    R.at(I, P + 1) = bound::PosInf;
+  }
+  R.at(P, P) = 0;
+  R.at(P + 1, P + 1) = 0;
   return R;
 }
 
@@ -350,13 +345,15 @@ Oct Oct::addDiffConstraint(uint32_t V, uint32_t W, int64_t C) const {
 Oct Oct::assignInterval(uint32_t V, const Interval &Itv) const {
   if (Empty)
     return *this;
-  // Assigning an unreachable value: the whole state is unreachable in the
-  // concrete; keep it conservative as ⊤ on v (the non-relational engine
-  // handles reachability the same way).
+  if (Itv.isBot()) {
+    // Assigning an unreachable value: the whole state is unreachable in
+    // the concrete; keep it conservative as ⊤ on v (the non-relational
+    // engine handles reachability the same way).
+    return forget(V);
+  }
+  // Forget v, then v ≤ hi and v ≥ lo (addUpperBound, addLowerBound) in
+  // place.
   Oct R = forget(V);
-  if (Itv.isBot())
-    return R;
-  // v ≤ hi and v ≥ lo (addUpperBound and addLowerBound), in place.
   if (Itv.hi() != bound::PosInf)
     R.constrain(2 * V, 2 * V, bound::mul(Itv.hi(), 2));
   if (Itv.lo() != bound::NegInf)

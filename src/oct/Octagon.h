@@ -120,8 +120,6 @@ private:
   /// Adds x_A − x_B̄ ≤ C (signed indices) and its coherent twin to this
   /// closed octagon and closes it incrementally.
   void constrain(uint32_t A, uint32_t B, int64_t C);
-  /// Removes every bound on variable \p V.
-  void forgetVar(uint32_t V);
 
   /// Integer tightening of the unary bounds; true if a bound moved.
   bool tighten();
