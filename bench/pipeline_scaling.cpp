@@ -12,9 +12,11 @@
 /// The parallel runs are bit-identical to the sequential ones by
 /// construction (docs/PARALLELISM.md; enforced by
 /// tests/parallel_determinism_test), so the only question this bench
-/// answers is time.  With SPA_BENCH_JSON set, each configuration appends
-/// one JSONL record whose metrics include the phase.*.seconds /
-/// phase.*.cpu_seconds split and the par.* gauges.
+/// answers is time.  Each program's sequential/parallel pair runs 4
+/// times, interleaved, and the table prints the fastest run per lane
+/// count.  With SPA_BENCH_JSON set, each run appends one JSONL record
+/// whose metrics include the phase.*.seconds / phase.*.cpu_seconds split
+/// and the par.* gauges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +43,6 @@ int main() {
   // partitioned/pooled code paths even on a single-core machine (where
   // defaultJobs() is 1 and no wall-clock win is physically possible).
   unsigned Par = std::max(2u, ThreadPool::defaultJobs());
-  double TimeLimit = timeLimitFromEnv();
   std::printf("Pipeline scaling: sequential (--jobs=1) vs parallel "
               "(--jobs=%u), scale=%.2f\n\n",
               Par, Scale);
@@ -54,18 +56,26 @@ int main() {
   for (const SuiteEntry &E : Suite) {
     std::unique_ptr<Program> Prog = buildEntry(E);
 
-    auto RunWith = [&](unsigned Jobs) {
+    // One run at Jobs lanes; Best keeps the fastest run so far.
+    auto RunWith = [&](unsigned Jobs, std::optional<AnalysisRun> &Best) {
       AnalyzerOptions Opts;
-      Opts.TimeLimitSec = TimeLimit;
       Opts.Jobs = Jobs;
-      return recordRun("pipeline:" + E.Name + ":jobs" +
-                           std::to_string(Jobs),
-                       engineName(Opts.Engine),
-                       [&] { return analyzeProgram(*Prog, Opts); });
+      AnalysisRun Run = recordRun(
+          "pipeline:" + E.Name + ":jobs" + std::to_string(Jobs),
+          engineName(Opts.Engine),
+          [&] { return analyzeProgram(*Prog, Opts); });
+      if (!Best || Run.totalSeconds() < Best->totalSeconds())
+        Best = std::move(Run);
     };
-
-    AnalysisRun Seq = RunWith(1);
-    AnalysisRun Parl = RunWith(Par);
+    // Interleaved best-of-4, as in the guard ablation below: the order
+    // alternates so slow drift cannot bias one lane count.
+    std::optional<AnalysisRun> BestSeq, BestPar;
+    for (int Rep = 0; Rep < 4; ++Rep) {
+      bool ParFirst = Rep % 2;
+      RunWith(ParFirst ? Par : 1, ParFirst ? BestPar : BestSeq);
+      RunWith(ParFirst ? 1 : Par, ParFirst ? BestSeq : BestPar);
+    }
+    const AnalysisRun &Seq = *BestSeq, &Parl = *BestPar;
     // Cheap equality proxies; the full R.In/R.Out/alarm comparison lives
     // in tests/parallel_determinism_test.
     bool Same = Seq.Sparse && Parl.Sparse &&
@@ -80,12 +90,12 @@ int main() {
                 E.Name.c_str(),
                 fmtSeconds(Seq.DefUseSeconds, false).c_str(),
                 fmtSeconds(Seq.depBuildSeconds(), false).c_str(),
-                fmtSeconds(Seq.fixSeconds(), Seq.timedOut()).c_str(),
-                fmtSeconds(Seq.totalSeconds(), Seq.timedOut()).c_str(),
+                fmtSeconds(Seq.fixSeconds(), false).c_str(),
+                fmtSeconds(Seq.totalSeconds(), false).c_str(),
                 fmtSeconds(Parl.DefUseSeconds, false).c_str(),
                 fmtSeconds(Parl.depBuildSeconds(), false).c_str(),
-                fmtSeconds(Parl.fixSeconds(), Parl.timedOut()).c_str(),
-                fmtSeconds(Parl.totalSeconds(), Parl.timedOut()).c_str(),
+                fmtSeconds(Parl.fixSeconds(), false).c_str(),
+                fmtSeconds(Parl.totalSeconds(), false).c_str(),
                 Same ? "yes" : "NO");
   }
   std::printf("\nsuite totals: sequential %.2fs, parallel %.2fs "
@@ -96,7 +106,6 @@ int main() {
   // parallelizes even when each program is one dependency component.
   for (unsigned Jobs : {1u, Par}) {
     BatchOptions BOpts;
-    BOpts.Analyzer.TimeLimitSec = TimeLimit;
     BOpts.Analyzer.Jobs = Jobs;
     BatchResult R = recordRun(
         "pipeline:batch:jobs" + std::to_string(Jobs),
@@ -115,7 +124,6 @@ int main() {
   double GuardCpu = 0;
   auto GuardRun = [&](const char *Name, const BudgetLimits &Limits) {
     BatchOptions BOpts;
-    BOpts.Analyzer.TimeLimitSec = TimeLimit;
     BOpts.Analyzer.Jobs = Par;
     BOpts.Analyzer.Budget = Limits;
     return recordRun(std::string("guard:") + Name,
@@ -206,13 +214,10 @@ int main() {
     };
     // One resident warm service for the whole ablation, primed untimed;
     // every timed warm pass must then be pure cache hits.
-    serve::ServiceOptions WarmOpts;
-    WarmOpts.Analyzer.TimeLimitSec = TimeLimit;
-    serve::Service WarmSvc(WarmOpts);
+    serve::Service WarmSvc(serve::ServiceOptions{});
     auto ServeRun = [&](const char *Name, bool Warm,
                         std::vector<uint64_t> &Digests, bool &AllHits) {
       serve::ServiceOptions ColdOpts;
-      ColdOpts.Analyzer.TimeLimitSec = TimeLimit;
       ColdOpts.Incremental = false;
       serve::Service ColdSvc(ColdOpts);
       serve::Service &Svc = Warm ? WarmSvc : ColdSvc;
@@ -260,7 +265,6 @@ int main() {
   // ("shard") with the shard.* gauges for the summary JSON.
   {
     ShardOptions SOpts;
-    SOpts.Batch.Analyzer.TimeLimitSec = TimeLimit;
     SOpts.Shards = Par;
     ShardRunResult SR = runSharded(suiteBatch(Scale), SOpts);
     std::printf("shards=%-2u: %zu programs in %.2fs (%llu steals, %u "

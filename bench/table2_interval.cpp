@@ -49,9 +49,10 @@ RunOutcome runEngine(const SuiteEntry &E, EngineKind Engine,
         std::unique_ptr<Program> Prog = buildEntry(E);
         AnalyzerOptions Opts;
         Opts.Engine = Engine;
-        // The child gets killed at the wall-clock limit; the engine's own
-        // limit stays a bit below so graceful timeouts also report.
-        Opts.TimeLimitSec = TimeLimit * 0.95;
+        // The child gets killed at the wall-clock limit; the budget
+        // deadline stays a bit below, so a run that reaches it degrades
+        // and still reports (timedOut()).
+        Opts.Budget.DeadlineSec = TimeLimit * 0.95;
         AnalysisRun Run = analyzeProgram(*Prog, Opts);
         appendBenchRecord(E.Name, engineName(Engine), !Run.timedOut());
         return {Run.timedOut() ? 1.0 : 0.0, Run.depSeconds(),

@@ -40,7 +40,7 @@ RunOutcome runEngine(const SuiteEntry &E, EngineKind Engine,
         std::unique_ptr<Program> Prog = buildEntry(E);
         OctOptions Opts;
         Opts.Engine = Engine;
-        Opts.TimeLimitSec = TimeLimit * 0.95;
+        Opts.Budget.DeadlineSec = TimeLimit * 0.95; // As in Table 2.
         OctRun Run = runOctAnalysis(*Prog, Opts);
         appendBenchRecord(E.Name, engineName(Engine), !Run.timedOut());
         return {Run.timedOut() ? 1.0 : 0.0, Run.depSeconds(),

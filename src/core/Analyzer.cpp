@@ -53,6 +53,33 @@ void spa::exportValueSharingStats() {
                     CowStats::Adoptions.load(std::memory_order_relaxed));
 }
 
+void spa::recordBudgetEnd(const Budget *Bud, BudgetReason &Stop,
+                          uint64_t &Steps) {
+  if (!Bud)
+    return;
+  Stop = Bud->reason();
+  Steps = Bud->steps();
+  SPA_OBS_GAUGE_SET("budget.steps", double(Steps));
+  SPA_OBS_GAUGE_SET("budget.exhausted", Bud->exhausted() ? 1 : 0);
+  // SPA_OBS_COUNT needs a literal name per call site, hence the chain.
+  switch (Stop) {
+  case BudgetReason::None:
+    break;
+  case BudgetReason::Deadline:
+    SPA_OBS_COUNT("budget.stops.deadline", 1);
+    break;
+  case BudgetReason::Steps:
+    SPA_OBS_COUNT("budget.stops.steps", 1);
+    break;
+  case BudgetReason::Memory:
+    SPA_OBS_COUNT("budget.stops.memory", 1);
+    break;
+  case BudgetReason::Cancelled:
+    SPA_OBS_COUNT("budget.stops.cancelled", 1);
+    break;
+  }
+}
+
 double AnalysisRun::depBuildSeconds() const {
   return Graph ? Graph->BuildSeconds : 0;
 }
@@ -67,14 +94,6 @@ double AnalysisRun::fixSeconds() const {
   if (Sparse)
     return Sparse->Seconds;
   return 0;
-}
-
-bool AnalysisRun::timedOut() const {
-  if (Dense && Dense->TimedOut)
-    return true;
-  if (Sparse && Sparse->TimedOut)
-    return true;
-  return false;
 }
 
 std::string spa::ledgerNodeLabel(const Program &Prog, const SparseGraph *Graph,
@@ -236,7 +255,6 @@ AnalysisRun spa::analyzeProgram(const Program &Prog,
     DenseOptions DOpts;
     DOpts.Sem = Opts.Sem;
     DOpts.Localize = Opts.Engine == EngineKind::Base;
-    DOpts.TimeLimitSec = Opts.TimeLimitSec;
     DOpts.NarrowingPasses = Opts.NarrowingPasses;
     DOpts.WideningDelay = Opts.WideningDelay;
     DOpts.Bud = Bud;
@@ -267,7 +285,6 @@ AnalysisRun spa::analyzeProgram(const Program &Prog,
     }
     SparseOptions SOpts;
     SOpts.Sem = Opts.Sem;
-    SOpts.TimeLimitSec = Opts.TimeLimitSec;
     SOpts.WideningDelay = Opts.WideningDelay;
     SOpts.Jobs = Jobs;
     SOpts.Bud = Bud;
@@ -299,30 +316,7 @@ AnalysisRun spa::analyzeProgram(const Program &Prog,
   SPA_OBS_GAUGE_SET("phase.total.cpu_seconds", TotalCpu.seconds());
   SPA_OBS_GAUGE_MAX("mem.peak_rss_kib", currentPeakRssKiB());
   exportValueSharingStats();
-
-  if (Bud) {
-    Run.BudgetStop = Bud->reason();
-    Run.BudgetSteps = Bud->steps();
-    SPA_OBS_GAUGE_SET("budget.steps", double(Bud->steps()));
-    SPA_OBS_GAUGE_SET("budget.exhausted", Bud->exhausted() ? 1 : 0);
-    // SPA_OBS_COUNT needs a literal name per call site, hence the chain.
-    switch (Bud->reason()) {
-    case BudgetReason::None:
-      break;
-    case BudgetReason::Deadline:
-      SPA_OBS_COUNT("budget.stops.deadline", 1);
-      break;
-    case BudgetReason::Steps:
-      SPA_OBS_COUNT("budget.stops.steps", 1);
-      break;
-    case BudgetReason::Memory:
-      SPA_OBS_COUNT("budget.stops.memory", 1);
-      break;
-    case BudgetReason::Cancelled:
-      SPA_OBS_COUNT("budget.stops.cancelled", 1);
-      break;
-    }
-  }
+  recordBudgetEnd(Bud, Run.BudgetStop, Run.BudgetSteps);
   SPA_OBS_GAUGE_SET("analysis.degraded", Run.degraded() ? 1 : 0);
   // Re-freeze the postmortem index: instruments created during this run
   // (counter/gauge call sites register lazily) become crash-readable.

@@ -42,16 +42,15 @@ struct AnalyzerOptions {
   /// own precise pre-analysis, the semi-sparse instance, or the staged
   /// pointer-only instance).
   PreAnalysisKind Pre = PreAnalysisKind::Precise;
-  double TimeLimitSec = 0;
   unsigned WideningDelay = 4;
   unsigned NarrowingPasses = 0; ///< Dense engines only.
   /// Resource-governance limits (docs/ROBUSTNESS.md).  When any limit is
   /// set the facade creates one cooperative Budget shared by every phase
   /// (pre-analysis, def/use, dependency build, fixpoint — including
   /// worker lanes); on exhaustion the run *degrades soundly* to the
-  /// flow-insensitive pre-analysis invariant instead of timing out.
-  /// Unlike TimeLimitSec (which reports an unusable timed-out run), a
-  /// degraded run is a complete, sound over-approximation.
+  /// flow-insensitive pre-analysis invariant.  Budget.DeadlineSec is the
+  /// only wall-clock limit, and a run that reaches it is still a
+  /// complete, sound over-approximation (timedOut() below).
   BudgetLimits Budget;
   /// Pool lanes for the parallel phases (def/use collection, per-function
   /// dependency construction, partitioned sparse fixpoint).  Results are
@@ -106,7 +105,9 @@ struct AnalysisRun {
   /// Main fixpoint time, the paper's Fix column.
   double fixSeconds() const;
   double totalSeconds() const { return depSeconds() + fixSeconds(); }
-  bool timedOut() const;
+  /// The run reached Budget.DeadlineSec (the paper's ∞ table entries);
+  /// its results are degraded but sound.
+  bool timedOut() const { return BudgetStop == BudgetReason::Deadline; }
 
   /// Why the budget stopped the run (None when it never tripped or no
   /// budget was configured) and the steps it had consumed by the end.
@@ -146,6 +147,13 @@ std::string ledgerNodeLabel(const Program &Prog, const SparseGraph *Graph,
 void attributeLedger(obs::Ledger &Led, const Program &Prog,
                      const SparseGraph *Graph,
                      const CallGraphInfo *CG = nullptr);
+
+/// Reads a finished run's budget: sets \p Stop and \p Steps and writes
+/// the budget.* gauges and the budget.stops.<reason> counter
+/// (docs/OBSERVABILITY.md).  Called at the end of both analyzer facades,
+/// after everything that charges \p Bud; does nothing when \p Bud is
+/// null.
+void recordBudgetEnd(const Budget *Bud, BudgetReason &Stop, uint64_t &Steps);
 
 /// Exports the value.pool.* / state.cow.* gauges (interner occupancy and
 /// hit rates, COW detach counts; docs/OBSERVABILITY.md).  Called at the

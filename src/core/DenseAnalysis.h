@@ -45,9 +45,6 @@ struct DenseOptions {
   /// Enable access-based localization (the Base analyzer).  Requires
   /// DefUseInfo for the per-function access sets.
   bool Localize = false;
-  /// Wall-clock budget in seconds (0 = unlimited); exceeded runs report
-  /// TimedOut (the paper's ∞ entries).
-  double TimeLimitSec = 0;
   /// Decreasing (narrowing) iterations after stabilization (interval
   /// domain only).
   unsigned NarrowingPasses = 0;
@@ -56,8 +53,9 @@ struct DenseOptions {
   /// standard precision lever; termination only needs *some* finite delay.
   unsigned WideningDelay = 4;
   /// Cooperative resource budget, charged once per worklist visit; on
-  /// exhaustion the engine stops and *degrades soundly* (see DegradeTo)
-  /// instead of reporting a timeout.  Null = no budget, zero overhead.
+  /// exhaustion the engine stops and *degrades soundly* (see DegradeTo).
+  /// Its deadline is the only wall-clock limit.  Null = no budget, zero
+  /// overhead.
   Budget *Bud = nullptr;
   /// Sound fallback state for degradation: every point forward-reachable
   /// from a pending worklist entry joins this state (normally the
@@ -74,7 +72,6 @@ struct DenseOptions {
 template <typename StateT> struct DenseFixResult {
   /// Post-state per point: X̂(c) = f̂_c(join of predecessors).
   std::vector<StateT> Post;
-  bool TimedOut = false;
   /// The budget tripped; every point whose value might still have risen
   /// (pending entries and everything reachable from them) was degraded
   /// by the domain, so Post stays an over-approximation.

@@ -11,9 +11,9 @@
 /// interval analysis), so neither does this engine:
 ///
 ///  * the loop driver (drainWorklist) owns the heartbeat, the fault
-///    checkpoint, the time limit, the budget charge, ledger sampling and
-///    the journal's partition events; degradeAffected owns sound
-///    degradation over the affected set;
+///    checkpoint, the budget charge, ledger sampling and the journal's
+///    partition events; degradeAffected owns sound degradation over the
+///    affected set;
 ///  * the dense step (runDenseFixpoint) joins supergraph predecessors —
 ///    localized for Base — runs the transfer, applies delayed widening per
 ///    point, and narrows;
@@ -124,23 +124,20 @@ struct NoCost {
 
 struct LoopResult {
   uint64_t Visits = 0;
-  bool TimedOut = false;
   /// The budget tripped; the unprocessed items are still pending in the
   /// worklist (the degradation frontier).
   bool Degraded = false;
 };
 
 /// The worklist loop: pops until empty, calling \p Visit on each item.
-/// Every 256 visits it refreshes the stall context, passes the "fixloop"
-/// fault checkpoint and checks the time limit; every visit charges one
-/// budget step *before* the pop, so an expired budget stops at zero
-/// visits.  Ledger rows (indexed by item) get the visit count and a
-/// sampled wall time every 32 visits (the one non-deterministic ledger
-/// field).
+/// Every 256 visits it refreshes the stall context and passes the
+/// "fixloop" fault checkpoint; every visit charges one budget step
+/// *before* the pop, so an expired budget stops at zero visits.  Ledger
+/// rows (indexed by item) get the visit count and a sampled wall time
+/// every 32 visits (the one non-deterministic ledger field).
 template <typename VisitFn>
 LoopResult drainWorklist(WorkList &WL, uint64_t Partition, uint64_t Size,
-                         double TimeLimitSec, Budget *Bud, obs::Ledger *Led,
-                         VisitFn &&Visit) {
+                         Budget *Bud, obs::Ledger *Led, VisitFn &&Visit) {
   LoopResult R;
   Timer Clock;
   uint64_t LastSampleUs = 0;
@@ -156,10 +153,6 @@ LoopResult drainWorklist(WorkList &WL, uint64_t Partition, uint64_t Size,
       // which is what the watchdog catches.
       obs::journalSetWorklistDepth(WL.size());
       maybeInjectFault("fixloop");
-      if (TimeLimitSec > 0 && Clock.seconds() > TimeLimitSec) {
-        R.TimedOut = true;
-        break;
-      }
     }
     // The budget token is shared and sticky: once any lane trips it,
     // every lane stops at its next visit.
@@ -393,7 +386,7 @@ void runDenseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   Timer Clock;
   uint64_t Extrapolations = 0;
   LoopResult L = drainWorklist(
-      WL, 0, N, Opts.TimeLimitSec, Opts.Bud, Led, [&](uint32_t P) {
+      WL, 0, N, Opts.Bud, Led, [&](uint32_t P) {
         auto Cost = D.cost();
         State Out = ComputeInput(PointId(P));
         D.transfer(PointId(P), Out);
@@ -421,7 +414,6 @@ void runDenseFixpoint(const Program &Prog, const CallGraphInfo &CG,
         ForEachSucc(P, [&](uint32_t S) { WL.push(S); });
       });
   R.Visits = L.Visits;
-  R.TimedOut = L.TimedOut;
   R.Degraded = L.Degraded;
 
   if (R.Degraded) {
@@ -431,11 +423,11 @@ void runDenseFixpoint(const Program &Prog, const CallGraphInfo &CG,
                     [&](uint32_t P) { D.degrade(R.Post[P]); });
   }
 
-  // Narrowing restarts from a post-fixpoint; a timed-out or degraded
-  // state is not one, so skip it.
+  // Narrowing restarts from a post-fixpoint; a degraded state is not
+  // one, so skip it.
   if constexpr (Domain::Narrows) {
-    for (unsigned Pass = 0;
-         Pass < Opts.NarrowingPasses && !R.TimedOut && !R.Degraded; ++Pass) {
+    for (unsigned Pass = 0; Pass < Opts.NarrowingPasses && !R.Degraded;
+         ++Pass) {
       bool Changed = false;
       for (uint32_t P = 0; P < N; ++P) {
         State Out = ComputeInput(PointId(P));
@@ -518,8 +510,7 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     uint64_t Extrapolations = 0, Extracted = 0, EdgesWalked = 0;
     std::vector<LocId> Changed; // The visited node's grown locations.
     LoopResult L = drainWorklist(
-        WL, ShardIdx, Nodes.size(), Opts.TimeLimitSec, Opts.Bud, Led,
-        [&](uint32_t Node) {
+        WL, ShardIdx, Nodes.size(), Opts.Bud, Led, [&](uint32_t Node) {
           // Transfer, then publish the locations whose output grew.
           Changed.clear();
           bool IsPhi = Graph.isPhi(Node);
@@ -629,7 +620,6 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   }
   for (const LoopResult &L : ShardResults) {
     R.Visits += L.Visits;
-    R.TimedOut |= L.TimedOut;
     R.Degraded |= L.Degraded;
   }
 

@@ -46,7 +46,6 @@ namespace spa {
 /// domain; the octagon domain ignores them.
 struct SparseOptions {
   SemanticsOptions Sem;
-  double TimeLimitSec = 0;
   /// Changing arrivals on a cycle-closing dependency edge before widening
   /// applies (mirrors DenseOptions::WideningDelay).
   unsigned WideningDelay = 4;
@@ -89,7 +88,6 @@ template <typename StateT> struct SparseFixResult {
   std::vector<StateT> In;
   /// Output partial state per graph node (over D̂).
   std::vector<StateT> Out;
-  bool TimedOut = false;
   /// The budget tripped; the affected nodes were degraded by the domain
   /// on their def/use sets, so In/Out remain over-approximations.
   bool Degraded = false;

@@ -633,14 +633,6 @@ double OctRun::fixSeconds() const {
   return 0;
 }
 
-bool OctRun::timedOut() const {
-  if (Dense && Dense->TimedOut)
-    return true;
-  if (Sparse && Sparse->TimedOut)
-    return true;
-  return false;
-}
-
 bool OctRun::degraded() const {
   if (Pre.Degraded)
     return true;
@@ -707,7 +699,6 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
   case EngineKind::Base: {
     DenseOptions DOpts;
     DOpts.Localize = Opts.Engine == EngineKind::Base;
-    DOpts.TimeLimitSec = Opts.TimeLimitSec;
     DOpts.WideningDelay = Opts.WideningDelay;
     DOpts.Bud = Bud;
     DOpts.Led = Led.get();
@@ -726,7 +717,6 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
       Run.Graph = buildDepGraph(Prog, Run.Pre.CG, Run.DU, Dep);
     }
     SparseOptions SOpts;
-    SOpts.TimeLimitSec = Opts.TimeLimitSec;
     SOpts.WideningDelay = Opts.WideningDelay;
     SOpts.Jobs = Opts.Dep.Jobs;
     SOpts.Bud = Bud;
@@ -750,7 +740,6 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
     AnalyzerOptions FOpts;
     FOpts.Engine = EngineKind::Sparse;
     FOpts.Dep = Opts.Dep;
-    FOpts.TimeLimitSec = Opts.TimeLimitSec;
     FOpts.WideningDelay = Opts.WideningDelay;
     FOpts.Budget = Opts.Budget;
     Run.Fallback.emplace(analyzeProgram(Prog, FOpts));
@@ -772,11 +761,9 @@ OctRun spa::runOctAnalysis(const Program &Prog, const OctOptions &Opts) {
   // (interned points-to sets) and COW pre-state snapshots, so the value
   // sharing gauges are meaningful here too.
   exportValueSharingStats();
-
-  if (Bud) {
-    SPA_OBS_GAUGE_SET("budget.steps", double(Bud->steps()));
-    SPA_OBS_GAUGE_SET("budget.exhausted", Bud->exhausted() ? 1 : 0);
-  }
+  // After the fallback, whose analyzeProgram wrote its own budget.*
+  // gauges: the octagon run's win.
+  recordBudgetEnd(Bud, Run.BudgetStop, Run.BudgetSteps);
   SPA_OBS_GAUGE_SET("analysis.degraded", Run.degraded() ? 1 : 0);
   return Run;
 }

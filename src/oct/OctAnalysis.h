@@ -47,7 +47,6 @@ struct OctOptions {
   /// Dependency construction; Dep.Jobs also sets the sparse fixpoint's
   /// lanes (results are identical for every value).
   DepOptions Dep;
-  double TimeLimitSec = 0;
   unsigned WideningDelay = 4;
   /// Resource-governance limits; same cooperative semantics as
   /// AnalyzerOptions::Budget (docs/ROBUSTNESS.md).  When the octagon
@@ -80,7 +79,9 @@ struct OctRun {
   double depSeconds() const;
   double fixSeconds() const;
   double totalSeconds() const { return depSeconds() + fixSeconds(); }
-  bool timedOut() const;
+  /// The run reached Budget.DeadlineSec (the paper's ∞ table entries);
+  /// its results are degraded but sound.
+  bool timedOut() const { return BudgetStop == BudgetReason::Deadline; }
   /// Any phase fell back to the degradation ladder (still sound, coarser).
   bool degraded() const;
 
@@ -92,6 +93,12 @@ struct OctRun {
   /// fallback's — that one lives in Fallback->Ledger).  Null with
   /// -DSPA_OBS=OFF.
   std::shared_ptr<obs::Ledger> Ledger = nullptr;
+
+  /// Why the octagon run's budget stopped it (not the fallback's, which
+  /// lives in Fallback->BudgetStop) and the steps it had consumed; same
+  /// meaning as AnalysisRun::BudgetStop / BudgetSteps.
+  BudgetReason BudgetStop = BudgetReason::None;
+  uint64_t BudgetSteps = 0;
 };
 
 OctRun runOctAnalysis(const Program &Prog, const OctOptions &Opts);

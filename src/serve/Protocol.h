@@ -111,7 +111,7 @@ struct AnalyzeResponse {
   uint32_t PartitionsSolved = 0;
   uint8_t CacheHit = 0; ///< Whole-program hit: nothing re-solved.
   uint8_t Degraded = 0;
-  uint8_t TimedOut = 0;
+  uint8_t TimedOut = 0; ///< The run reached its budget deadline (degraded).
   uint32_t Checks = 0;
   uint32_t Alarms = 0;
   double WallSeconds = 0; ///< Server-side request wall clock.

@@ -145,7 +145,6 @@ uint64_t optionsSalt(const AnalyzerOptions &Opts) {
   F.u8(static_cast<uint8_t>(Opts.Dep.Kind));
   F.u8(Opts.Dep.Bypass ? 1 : 0);
   F.u8(Opts.Dep.UseBdd ? 1 : 0);
-  F.f64(Opts.TimeLimitSec);
   F.u8(Opts.Budget.enabled() ? 1 : 0);
   return F.H;
 }
@@ -337,7 +336,6 @@ uint64_t spa::serve::hashSparseStates(const SparseResult &R) {
     hashState(F, S);
   for (const AbsState &S : R.Out)
     hashState(F, S);
-  F.u8(R.TimedOut ? 1 : 0);
   F.u8(R.Degraded ? 1 : 0);
   F.u32(static_cast<uint32_t>(R.DegradedNodeIds.size()));
   for (uint32_t Node : R.DegradedNodeIds)
@@ -703,10 +701,10 @@ ServeErrc Service::analyze(const AnalyzeRequest &Req, AnalyzeResponse &Resp,
   SPA_OBS_GAUGE_SET("serve.partitions.resolved", Resp.PartitionsSolved);
   SPA_OBS_JOURNAL(ServeRequest, ProgDigest, Resp.PartitionsSolved);
 
-  // Cache the solution.  Degraded/timed-out runs are NOT cached: their
-  // states depend on where the budget tripped, which is not a function
-  // of the program content the signature covers.
-  if (Incremental && !Resp.Degraded && !Resp.TimedOut) {
+  // Cache the solution.  Degraded runs are NOT cached: their states
+  // depend on where the budget tripped, which is not a function of the
+  // program content the signature covers.
+  if (Incremental && !Resp.Degraded) {
     auto E = std::make_unique<CacheEntry>();
     E->ProgDigest = ProgDigest;
     E->In = std::move(R.In);

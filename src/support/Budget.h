@@ -52,10 +52,10 @@ enum class BudgetReason : uint8_t {
 
 const char *budgetReasonName(BudgetReason R);
 
-/// Declarative limits; 0 disables the corresponding check (matching the
-/// TimeLimitSec convention everywhere else).  A *negative* DeadlineSec
-/// means "already expired": the budget trips on the very first charge,
-/// which is how tests pin deterministic full degradation.
+/// Declarative limits; 0 disables the corresponding check.  DeadlineSec
+/// is the only wall-clock limit of an analysis run.  A *negative*
+/// DeadlineSec means "already expired": the budget trips on the very
+/// first charge, which is how tests pin deterministic full degradation.
 struct BudgetLimits {
   double DeadlineSec = 0;
   uint64_t StepLimit = 0;

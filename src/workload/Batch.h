@@ -47,7 +47,7 @@ enum class BatchOutcome {
   Ok,         ///< Full-precision analysis completed.
   Degraded,   ///< Budget tripped; result is sound but coarse (usable).
   BuildError, ///< The source did not build.
-  Timeout,    ///< Analyzer time limit, or the isolation kill limit.
+  Timeout,    ///< The shard worker was killed at the kill limit.
   Oom,        ///< Shard worker exited with OomExitCode.
   Crash,      ///< Shard worker died on a signal, or its frame tore.
   Stalled,    ///< Watchdog: fixpoint heartbeats stopped (a hang with a
@@ -66,6 +66,9 @@ struct BatchItemResult {
   bool Ok = false;
   BatchOutcome Outcome = BatchOutcome::Crash;
   std::string Error; ///< Failure reason when !Ok.
+  /// The shard worker running the item was killed at the kill limit
+  /// (Outcome Timeout).  A run that reaches its budget deadline degrades
+  /// instead.
   bool TimedOut = false;
   /// The producing run degraded under its resource budget (provenance
   /// bit; also set on an adopted lower-tier retry result).
@@ -105,9 +108,9 @@ struct BatchOptions {
   /// no-bypass graph the checker needs).
   bool Check = false;
   /// Hard wall-clock kill limit per item in a shard worker, in seconds.
-  /// 0 derives 4 * max(Budget.DeadlineSec, TimeLimitSec) + 1 when either
-  /// is set (a cooperative deadline that far overdue means the worker is
-  /// stuck); unlimited when neither is.
+  /// 0 derives 4 * Budget.DeadlineSec + 1 when the deadline is set (a
+  /// cooperative deadline that far overdue means the worker is stuck);
+  /// unlimited when it is not.
   double KillLimitSec = 0;
   /// Stall watchdog interval for shard workers, in milliseconds (0 = no
   /// watchdog).  A worker whose fixpoint stops heartbeating for two

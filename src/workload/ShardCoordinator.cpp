@@ -55,7 +55,6 @@ std::vector<uint8_t> encodeResult(uint32_t Index, const BatchItemResult &R,
   W.u32(Index);
   W.u8(R.Ok);
   W.u8(static_cast<uint8_t>(R.Outcome));
-  W.u8(R.TimedOut);
   W.u8(R.Degraded);
   W.u32(R.Checks);
   W.u32(R.Alarms);
@@ -83,7 +82,6 @@ bool decodeResult(const uint8_t *Data, size_t Size, uint32_t &Index,
   if (Outcome > static_cast<uint8_t>(BatchOutcome::Stalled))
     return false;
   R.Outcome = static_cast<BatchOutcome>(Outcome);
-  R.TimedOut = C.u8();
   R.Degraded = C.u8();
   R.Checks = C.u32();
   R.Alarms = C.u32();
@@ -102,12 +100,12 @@ bool decodeResult(const uint8_t *Data, size_t Size, uint32_t &Index,
 }
 
 /// Hard wall-clock limit of one attempt run with \p A (0 = none): the
-/// explicit KillLimitSec, else four times the cooperative deadline or
-/// time limit plus a second — a run that far overdue is stuck.
+/// explicit KillLimitSec, else four times the cooperative deadline plus
+/// a second — a run that far overdue is stuck.
 double killLimitSec(const BatchOptions &Opts, const AnalyzerOptions &A) {
   if (Opts.KillLimitSec > 0)
     return Opts.KillLimitSec;
-  double D = std::max({A.Budget.DeadlineSec, A.TimeLimitSec, 0.0});
+  double D = A.Budget.DeadlineSec;
   return D > 0 ? 4 * D + 1 : 0;
 }
 

@@ -78,6 +78,21 @@ grep -q "degraded" "$WORK/loop-budget.txt" || {
 }
 require_keys "$WORK/loop-budget.json" \
   budget.steps budget.exhausted analysis.degraded
+# The octagon facade reports its budget the same way: exit 3, a banner
+# that names the limit, and the budget.stops.* counter.
+"$ANALYZE" --domain=octagon --deadline=-1 \
+  --metrics-out="$WORK/loop-oct-budget.json" "$EXAMPLES/loop.spa" \
+  > "$WORK/loop-oct-budget.txt"
+if [ $? -ne 3 ]; then
+  echo "FAIL: octagon run with an expired deadline should exit 3"
+  exit 1
+fi
+grep -q "degraded.*deadline" "$WORK/loop-oct-budget.txt" || {
+  echo "FAIL: octagon degraded banner does not name the deadline"
+  exit 1
+}
+require_keys "$WORK/loop-oct-budget.json" \
+  budget.steps budget.exhausted budget.stops.deadline analysis.degraded
 # And a clean run must exit 0 with budgets armed but not tripped.
 "$ANALYZE" --deadline=3600 --step-limit=1000000000 "$EXAMPLES/loop.spa" \
   > /dev/null || exit 1

@@ -103,7 +103,9 @@ TEST_P(DegradationSoundness, DegradedResultsCoverConcreteExecutions) {
     VOpts.Engine = EngineKind::Vanilla;
     VOpts.Budget = Reg.Limits;
     AnalysisRun Vanilla = analyzeProgram(*Prog, VOpts);
-    ASSERT_FALSE(Vanilla.timedOut());
+    // Only the deadline regime times out, and like every regime it
+    // leaves a usable degraded result (checked below).
+    ASSERT_EQ(Vanilla.timedOut(), Reg.Limits.DeadlineSec < 0) << Reg.Name;
 
     AnalyzerOptions SOpts;
     SOpts.Engine = EngineKind::Sparse;
@@ -267,6 +269,7 @@ TEST(CancellationResponsiveness, ExpiredDeadlineStopsEveryEngineAtZeroVisits) {
       EXPECT_TRUE(Run.degraded())
           << "engine " << static_cast<int>(Engine) << " jobs " << Jobs;
       EXPECT_EQ(Run.BudgetStop, BudgetReason::Deadline);
+      EXPECT_TRUE(Run.timedOut());
       EXPECT_TRUE(Run.Pre.Degraded);
       uint64_t Visits = Run.Dense ? Run.Dense->Visits : Run.Sparse->Visits;
       EXPECT_EQ(Visits, 0u)
@@ -281,6 +284,8 @@ TEST(CancellationResponsiveness, ExpiredDeadlineStopsEveryEngineAtZeroVisits) {
     Opts.Budget.DeadlineSec = -1;
     OctRun Run = runOctAnalysis(*Prog, Opts);
     EXPECT_TRUE(Run.degraded()) << "oct engine " << static_cast<int>(Engine);
+    EXPECT_EQ(Run.BudgetStop, BudgetReason::Deadline);
+    EXPECT_TRUE(Run.timedOut());
     uint64_t Visits = Run.Dense ? Run.Dense->Visits : Run.Sparse->Visits;
     EXPECT_EQ(Visits, 0u) << "oct engine " << static_cast<int>(Engine);
   }
@@ -304,6 +309,9 @@ TEST(CancellationResponsiveness, StepLimitBoundsVisitsAcrossEngines) {
       uint64_t Visits = Run.Dense ? Run.Dense->Visits : Run.Sparse->Visits;
       EXPECT_LE(Visits, Limit)
           << "engine " << static_cast<int>(Engine) << " jobs " << Jobs;
+      // A tripped step limit is not a deadline.
+      EXPECT_EQ(Run.BudgetStop, BudgetReason::Steps);
+      EXPECT_FALSE(Run.timedOut());
     }
   }
 }

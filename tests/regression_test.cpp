@@ -47,9 +47,9 @@ TEST(Regression, LocalizedEngineTerminatesOnLoopWithCalls) {
   )");
   AnalyzerOptions Opts;
   Opts.Engine = EngineKind::Base;
-  Opts.TimeLimitSec = 30; // Far above what a widening run needs.
+  Opts.Budget.DeadlineSec = 30; // Far above what a widening run needs.
   AnalysisRun Run = analyzeProgram(*Prog, Opts);
-  EXPECT_FALSE(Run.timedOut());
+  EXPECT_FALSE(Run.degraded());
   // The loop body runs at most a few hundred visits post-widening.
   EXPECT_LT(Run.Dense->Visits, 100000u);
   // And the result is still sound: n is unbounded below.

@@ -20,10 +20,10 @@
 ///   --dump-cfg                     supergraph in Graphviz dot
 ///   --dump-deps                    dependency graph in Graphviz dot
 ///   --run[=seed]                   execute concretely (input() seed)
-///   --time-limit=SECONDS           analysis wall-clock budget
 ///   --deadline=SECONDS             resource budget: degrade soundly past
 ///                                  this wall-clock deadline (<0 = already
-///                                  expired; the run degrades immediately)
+///                                  expired; the run degrades immediately);
+///                                  the only wall-clock limit
 ///   --step-limit=N                 resource budget: degrade after N steps
 ///   --mem-limit=MIB                resource budget: degrade past this RSS
 ///   --isolate                      batch: --shards=<--jobs> (crashes,
@@ -139,7 +139,6 @@ struct CliOptions {
   std::string PostmortemDir;
   uint32_t WatchdogMs = 0;
   long ExplainAlarm = -1; ///< Alarm id to explain; <0 = off.
-  double TimeLimitSec = 0;
   BudgetLimits Budget;
   bool Isolate = false;
   unsigned Jobs = 1; ///< 0 = ThreadPool::defaultJobs().
@@ -167,7 +166,7 @@ void usage() {
                "--dep=ssa|rd|chains|whole\n"
                "  --no-bypass --bdd --check --list --dump-cfg "
                "--dump-deps\n"
-               "  --run[=seed] --time-limit=N --stats\n"
+               "  --run[=seed] --stats\n"
                "  --deadline=N --step-limit=N --mem-limit=MIB --isolate\n"
                "  --jobs=N --batch=FILE --batch-suite[=scale]\n"
                "  --metrics-out=FILE --prom-out=FILE --trace-out=FILE "
@@ -248,8 +247,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (const char *V = Value("--run=")) {
       Opts.Run = true;
       Opts.RunSeed = std::strtoull(V, nullptr, 10);
-    } else if (const char *V = Value("--time-limit=")) {
-      Opts.TimeLimitSec = std::atof(V);
     } else if (const char *V = Value("--deadline=")) {
       Opts.Budget.DeadlineSec = std::atof(V);
     } else if (const char *V = Value("--step-limit=")) {
@@ -437,10 +434,6 @@ int runConnectMode(const CliOptions &Cli) {
               static_cast<unsigned long long>(Resp.ResultDigest),
               Resp.PartitionsTotal, Resp.PartitionsReused,
               Resp.PartitionsSolved, Resp.CacheHit);
-  if (Resp.TimedOut) {
-    std::printf("analysis exceeded the time limit\n");
-    return 2;
-  }
   if (Resp.Degraded)
     std::printf("!! degraded: resource budget exhausted; results are "
                 "sound but coarse\n");
@@ -553,16 +546,12 @@ int runOctagonMode(const Program &Prog, const CliOptions &Cli) {
   Opts.Dep.Bypass = false;
   // Lanes for the dependency build and the fixpoint's component shards.
   Opts.Dep.Jobs = Cli.Jobs ? Cli.Jobs : ThreadPool::defaultJobs();
-  Opts.TimeLimitSec = Cli.TimeLimitSec;
   Opts.Budget = Cli.Budget;
   OctRun Run = runOctAnalysis(Prog, Opts);
-  if (Run.timedOut()) {
-    std::printf("analysis exceeded the time limit\n");
-    return 2;
-  }
   if (Run.degraded())
-    std::printf("!! degraded: resource budget exhausted; invariants are "
-                "sound but coarse\n");
+    std::printf("!! degraded: resource budget exhausted (%s); invariants "
+                "are sound but coarse\n",
+                budgetReasonName(Run.BudgetStop));
 
   // Octagon ledger nodes live in pack space, so phi labels name the pack
   // rather than a source location.
@@ -677,7 +666,6 @@ int runBatchMode(const CliOptions &Cli) {
   Opts.Analyzer.Engine = Cli.Engine;
   Opts.Analyzer.Pre = Cli.Pre;
   Opts.Analyzer.Dep = Cli.Dep;
-  Opts.Analyzer.TimeLimitSec = Cli.TimeLimitSec;
   Opts.Analyzer.Budget = Cli.Budget;
   Opts.Analyzer.Jobs = Cli.Jobs;
   Opts.Check = Cli.Check;
@@ -712,9 +700,6 @@ int runBatchMode(const CliOptions &Cli) {
       std::printf("%-24s %s: %s%s\n", I.Name.c_str(),
                   batchOutcomeName(I.Outcome), I.Error.c_str(),
                   Tag.c_str());
-    else if (I.TimedOut)
-      std::printf("%-24s timed out after %.2fs%s\n", I.Name.c_str(),
-                  I.Seconds, Tag.c_str());
     else if (Cli.Check)
       std::printf("%-24s %.2fs  %u checks, %u alarms%s\n", I.Name.c_str(),
                   I.Seconds, I.Checks, I.Alarms, Tag.c_str());
@@ -854,7 +839,6 @@ int main(int Argc, char **Argv) {
   Opts.Dep = Cli.Dep;
   if (Cli.Check || Cli.List)
     Opts.Dep.Bypass = false; // Checker and listing read input buffers.
-  Opts.TimeLimitSec = Cli.TimeLimitSec;
   Opts.Budget = Cli.Budget;
   Opts.Jobs = Cli.Jobs;
   // Warm start from the snapshot's embedded depgraph when the recorded
@@ -864,10 +848,6 @@ int main(int Argc, char **Argv) {
       depSnapshotUsable(DecodedGraph, Opts.Dep))
     Opts.PrebuiltGraph = &DecodedGraph.Graph;
   AnalysisRun Run = analyzeProgram(Prog, Opts);
-  if (Run.timedOut()) {
-    std::printf("analysis exceeded the time limit\n");
-    return 2;
-  }
   if (Run.degraded())
     std::printf("!! degraded: resource budget exhausted (%s); results are "
                 "sound but coarse\n",
