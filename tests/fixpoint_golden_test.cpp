@@ -28,6 +28,15 @@
 /// that moves a point state, a live phi state or a visit to a node with
 /// an edge changes them.
 ///
+/// Every input also gets lines for the two partial runs of the sparse
+/// step: `sparse-degraded`, a run whose step budget trips halfway through
+/// the fixpoint (interval on both inputs and the bypass-off suite graph,
+/// octagon on the small inputs), digesting the degraded In/Out states and
+/// the degraded node ids; and one `sparse-restricted` line, an interval
+/// run of a program of four data-independent functions over its
+/// odd-numbered dependency components only (RestrictNodes, the server's
+/// partial re-solve), whose other nodes keep empty buffers.
+///
 /// Every octagon run also gets a `<engine>-matrix` line over the whole
 /// matrix of every pack.  Oct::str() prints the projections and only
 /// v − w ≤ c for v < w, so it leaves the sum bounds and the w − v bounds
@@ -143,22 +152,91 @@ std::string line(const std::string &Prog, const char *Engine,
          std::to_string(Visits);
 }
 
+/// Digest of a sparse result: In, Out, the degraded node ids, visits.
+template <typename StateT, typename StrFn>
+void addSparse(Digest &D, const SparseFixResult<StateT> &R, StrFn Str) {
+  addStates(D, "in", R.In, Str);
+  addStates(D, "out", R.Out, Str);
+  for (uint32_t Node : R.DegradedNodeIds)
+    D.add("degraded" + std::to_string(Node));
+}
+
+std::string absStr(const AbsState &S) { return S.str(); }
+
 std::string intervalLine(const std::string &Name, const char *EName,
-                         const AnalysisRun &Itv) {
-  EXPECT_FALSE(Itv.timedOut() || Itv.degraded()) << Name;
-  auto AbsStr = [](const AbsState &S) { return S.str(); };
+                         const AnalysisRun &Itv, bool Degraded = false) {
+  EXPECT_FALSE(Itv.timedOut()) << Name;
+  EXPECT_EQ(Itv.degraded(), Degraded) << Name;
   Digest DI;
   uint64_t Visits = 0;
   if (Itv.Dense) {
-    addStates(DI, "post", Itv.Dense->Post, AbsStr);
+    addStates(DI, "post", Itv.Dense->Post, absStr);
     Visits = Itv.Dense->Visits;
   } else {
-    addStates(DI, "in", Itv.Sparse->In, AbsStr);
-    addStates(DI, "out", Itv.Sparse->Out, AbsStr);
+    addSparse(DI, *Itv.Sparse, absStr);
     Visits = Itv.Sparse->Visits;
   }
   DI.add(std::to_string(Visits));
   return line(Name, EName, "interval", DI, Visits);
+}
+
+/// The sparse interval run of \p AOpts with a step budget that trips
+/// after half of \p FullVisits, the visits of the same run unbudgeted.
+std::string degradedIntervalLine(const std::string &Name, const Program &Prog,
+                                 AnalyzerOptions AOpts, uint64_t FullVisits) {
+  Budget Bud(BudgetLimits{0, FullVisits / 2, 0});
+  AOpts.BeforeSparseFix = [&](const AnalysisRun &, SparseOptions &S) {
+    S.Bud = &Bud;
+  };
+  return intervalLine(Name, AOpts.Dep.Bypass ? "sparse-degraded"
+                                             : "sparse-nobypass-degraded",
+                      analyzeProgram(Prog, AOpts), /*Degraded=*/true);
+}
+
+/// Four functions that share no data, so the bypassed dependency graph
+/// has one component per function.
+const char *const MultiSource = "fun alpha() {\n"
+                                "  a = 0;\n"
+                                "  while (a < 10) { a = a + 1; }\n"
+                                "  return 0;\n"
+                                "}\n"
+                                "fun beta() {\n"
+                                "  b = 7;\n"
+                                "  while (b > 0) { b = b - 2; }\n"
+                                "  return 0;\n"
+                                "}\n"
+                                "fun gamma() {\n"
+                                "  c = 1;\n"
+                                "  d = 0;\n"
+                                "  while (d < 5) { c = c * 2; d = d + 1; }\n"
+                                "  return 0;\n"
+                                "}\n"
+                                "fun main() {\n"
+                                "  alpha();\n"
+                                "  beta();\n"
+                                "  gamma();\n"
+                                "  return 0;\n"
+                                "}\n";
+
+/// The sparse interval run of MultiSource restricted to the nodes of its
+/// odd-numbered dependency components.
+std::string restrictedIntervalLine() {
+  BuildResult B = buildProgramFromSource(MultiSource);
+  EXPECT_TRUE(B.ok()) << B.Error;
+  if (!B.ok())
+    return "";
+  const Program &Prog = *B.Prog;
+  std::vector<uint32_t> Nodes;
+  AnalyzerOptions AOpts;
+  AOpts.BeforeSparseFix = [&](const AnalysisRun &Run, SparseOptions &S) {
+    DepComponents DC = computeDepComponents(Prog, *Run.Graph);
+    for (uint32_t Node = 0; Node < DC.CompOfNode.size(); ++Node)
+      if (DC.CompOfNode[Node] % 2 == 1)
+        Nodes.push_back(Node);
+    S.RestrictNodes = &Nodes;
+  };
+  return intervalLine("multi", "sparse-restricted",
+                      analyzeProgram(Prog, AOpts));
 }
 
 /// Every bound of every pack's matrix (see the file comment).
@@ -180,16 +258,16 @@ std::string octMatrixStr(const OctState &S) {
 
 template <typename StrFn>
 std::string octagonLine(const std::string &Name, const char *EName,
-                        const OctRun &Oct, StrFn Str) {
-  EXPECT_FALSE(Oct.timedOut() || Oct.degraded()) << Name;
+                        const OctRun &Oct, StrFn Str, bool Degraded = false) {
+  EXPECT_FALSE(Oct.timedOut()) << Name;
+  EXPECT_EQ(Oct.degraded(), Degraded) << Name;
   Digest DO;
   uint64_t Visits = 0;
   if (Oct.Dense) {
     addStates(DO, "post", Oct.Dense->Post, Str);
     Visits = Oct.Dense->Visits;
   } else {
-    addStates(DO, "in", Oct.Sparse->In, Str);
-    addStates(DO, "out", Oct.Sparse->Out, Str);
+    addSparse(DO, *Oct.Sparse, Str);
     Visits = Oct.Sparse->Visits;
   }
   DO.add(std::to_string(Visits));
@@ -232,23 +310,35 @@ std::string keyedLine(const std::string &Name, const char *Domain,
 
 std::string keyedIntervalLine(const std::string &Name,
                               const AnalysisRun &Itv) {
-  return keyedLine(Name, "interval", *Itv.Graph, *Itv.Sparse,
-                   [](const AbsState &S) { return S.str(); });
+  return keyedLine(Name, "interval", *Itv.Graph, *Itv.Sparse, absStr);
 }
 
 std::string keyedOctagonLine(const std::string &Name, const OctRun &Oct) {
   return keyedLine(Name, "octagon", *Oct.Graph, *Oct.Sparse, octStr);
 }
 
+/// The sparse octagon run with a step budget that trips halfway through
+/// its fixpoint.  The budget also counts the pre-analysis and dependency
+/// steps, so an unlimited budgeted run measures those first.
+std::string degradedOctagonLine(const std::string &Name, const Program &Prog) {
+  OctOptions OOpts;
+  OOpts.Budget.StepLimit = UINT64_MAX / 2;
+  OctRun Full = runOctAnalysis(Prog, OOpts);
+  OOpts.Budget.StepLimit = Full.BudgetSteps - Full.Sparse->Visits / 2;
+  return octagonLine(Name, "sparse-degraded", runOctAnalysis(Prog, OOpts),
+                     octStr, /*Degraded=*/true);
+}
+
 /// Lines per input: three engines by two domains, the two keyed lines of
-/// the (bypass-on) sparse runs, and the three octagon matrix lines.
-constexpr size_t LinesPerInput = 11;
+/// the (bypass-on) sparse runs, the three octagon matrix lines and the two
+/// degraded sparse runs.
+constexpr size_t LinesPerInput = 13;
 
 /// The paperSuite(0.02) programs, sparse engine only: interval bypass on
-/// and its keyed line, interval bypass off, octagon with its keyed and
-/// matrix lines.
+/// and its keyed line, interval bypass off and its degraded run, octagon
+/// with its keyed and matrix lines.
 constexpr double SuiteScale = 0.02;
-constexpr size_t LinesPerSuiteProgram = 6;
+constexpr size_t LinesPerSuiteProgram = 7;
 
 /// One line per (program, engine, domain): "<prog> <engine> <domain>
 /// <digest> <visits>".
@@ -277,9 +367,13 @@ std::vector<std::string> computeLines() {
       if (Engine == EngineKind::Sparse) {
         Lines.push_back(keyedIntervalLine(In.Name, Itv));
         Lines.push_back(keyedOctagonLine(In.Name, Oct));
+        Lines.push_back(
+            degradedIntervalLine(In.Name, Prog, AOpts, Itv.Sparse->Visits));
+        Lines.push_back(degradedOctagonLine(In.Name, Prog));
       }
     }
   }
+  Lines.push_back(restrictedIntervalLine());
   for (const SuiteEntry &E : paperSuite(SuiteScale)) {
     std::string Name = "suite0.02/" + E.Name;
     BuildResult B = buildProgramFromSource(generateSource(E.Config));
@@ -292,8 +386,10 @@ std::vector<std::string> computeLines() {
     Lines.push_back(intervalLine(Name, "sparse", Itv));
     Lines.push_back(keyedIntervalLine(Name, Itv));
     AOpts.Dep.Bypass = false;
-    Lines.push_back(
-        intervalLine(Name, "sparse-nobypass", analyzeProgram(Prog, AOpts)));
+    AnalysisRun NoBypass = analyzeProgram(Prog, AOpts);
+    Lines.push_back(intervalLine(Name, "sparse-nobypass", NoBypass));
+    Lines.push_back(degradedIntervalLine(Name, Prog, AOpts,
+                                         NoBypass.Sparse->Visits));
     OctRun Oct = runOctAnalysis(Prog, {});
     Lines.push_back(octagonLine(Name, "sparse", Oct, octStr));
     Lines.push_back(keyedOctagonLine(Name, Oct));
@@ -316,7 +412,7 @@ TEST(FixpointGolden, EveryEngineAndDomainMatchesTheCheckedInDigests) {
   std::vector<std::string> Now = computeLines();
   ASSERT_EQ(Now.size(),
             LinesPerInput * inputs().size() +
-                LinesPerSuiteProgram * paperSuite(SuiteScale).size());
+                LinesPerSuiteProgram * paperSuite(SuiteScale).size() + 1);
 
   if (const char *V = std::getenv("SPA_UPDATE_GOLDEN")) {
     std::string Dir = std::string(V) == "1" ? SPA_GOLDEN_DIR : V;
