@@ -105,7 +105,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace spa {
@@ -449,39 +452,143 @@ void runDenseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   SPA_OBS_GAUGE_SET("fixpoint.state_entries", R.StateEntries);
 }
 
-/// Domain::publish on one value slot (empty = absent): the weak join that
-/// makes a phi's output.  A phi's input is never an absent or (interval)
-/// bottom value, so this is exactly the state-level publish.
-template <typename Val>
-bool publishValue(std::optional<Val> &Slot, const Val &V) {
+/// Slot values, empty = absent, in blocks of 1024, so that turning them
+/// into states can free each block as soon as its values moved out.
+template <typename Val> class SlotValues {
+public:
+  explicit SlotValues(size_t N) : Blocks((N + BlockSize - 1) / BlockSize) {
+    for (size_t B = 0; B < Blocks.size(); ++B)
+      Blocks[B] = std::make_unique<std::optional<Val>[]>(
+          std::min<size_t>(BlockSize, N - B * BlockSize));
+  }
+
+  std::optional<Val> &operator[](uint32_t S) {
+    return Blocks[S / BlockSize][S % BlockSize];
+  }
+  const std::optional<Val> &operator[](uint32_t S) const {
+    return Blocks[S / BlockSize][S % BlockSize];
+  }
+
+  /// Frees the blocks that lie wholly below slot \p S.
+  void releaseBelow(uint32_t S) {
+    for (; Released < S / BlockSize; ++Released)
+      Blocks[Released].reset();
+  }
+
+private:
+  static constexpr uint32_t BlockSize = 1024;
+  std::vector<std::unique_ptr<std::optional<Val>[]>> Blocks;
+  uint32_t Released = 0;
+};
+
+/// A node's input slots, as the sparse transfer reads them.
+template <typename Val> class InputSlots {
+public:
+  InputSlots(std::span<const LocId> Keys, const SlotValues<Val> &Vals,
+             uint32_t Base)
+      : Keys(Keys), Vals(Vals), Base(Base) {}
+
+  /// The value delivered for \p L, or null if none was (the domain's
+  /// absent entry).
+  const Val *find(LocId L) const {
+    auto It = std::lower_bound(Keys.begin(), Keys.end(), L);
+    if (It == Keys.end() || *It != L)
+      return nullptr;
+    const std::optional<Val> &V =
+        Vals[Base + static_cast<uint32_t>(It - Keys.begin())];
+    return V ? &*V : nullptr;
+  }
+
+private:
+  std::span<const LocId> Keys;
+  const SlotValues<Val> &Vals;
+  uint32_t Base;
+};
+
+/// Where the sparse step keeps its values (see "Slot buffers" above):
+/// node I's in-slots are [InBegin[I], InBegin[I + 1]), keyed by the
+/// ascending InKeys in that range, and likewise its out-slots.
+struct SlotLayout {
+  static constexpr uint32_t NoSlot = UINT32_MAX;
+  std::vector<uint32_t> InBegin, OutBegin; ///< One per node, plus the end.
+  std::vector<LocId> InKeys, OutKeys;
+
+  std::span<const LocId> inKeys(uint32_t Node) const {
+    return keys(InBegin, InKeys, Node);
+  }
+  std::span<const LocId> outKeys(uint32_t Node) const {
+    return keys(OutBegin, OutKeys, Node);
+  }
+  /// The slot of \p L at \p Node, or NoSlot.
+  uint32_t inSlot(uint32_t Node, LocId L) const {
+    return find(InBegin, InKeys, Node, L);
+  }
+  uint32_t outSlot(uint32_t Node, LocId L) const {
+    return find(OutBegin, OutKeys, Node, L);
+  }
+  template <typename Val>
+  InputSlots<Val> inputs(uint32_t Node, const SlotValues<Val> &Vals) const {
+    return {inKeys(Node), Vals, InBegin[Node]};
+  }
+
+private:
+  static std::span<const LocId> keys(const std::vector<uint32_t> &Begin,
+                                     const std::vector<LocId> &Keys,
+                                     uint32_t Node) {
+    return {Keys.data() + Begin[Node], Begin[Node + 1] - Begin[Node]};
+  }
+  static uint32_t find(const std::vector<uint32_t> &Begin,
+                       const std::vector<LocId> &Keys, uint32_t Node,
+                       LocId L) {
+    auto B = Keys.begin() + Begin[Node], E = Keys.begin() + Begin[Node + 1];
+    auto It = std::lower_bound(B, E, L);
+    return It != E && *It == L ? static_cast<uint32_t>(It - Keys.begin())
+                               : NoSlot;
+  }
+};
+
+/// Lays out the slots of every node of \p Graph from its edges: a point
+/// gets one in-slot per distinct label of its in-edges and one out-slot
+/// per distinct label of its out-edges, a phi one of each for its
+/// location.
+SlotLayout layoutSlots(const SparseGraph &Graph);
+
+/// The weak join that publishes a value into one slot (empty = absent):
+/// a node's output and a phi's identity.  Published values are never
+/// absent or (interval) bottom, so this is exactly the state-level weak
+/// update.  Returns whether the slot grew.
+template <typename Val, typename V>
+bool publishValue(std::optional<Val> &Slot, V &&New) {
   if (!Slot) {
-    Slot = V;
+    Slot.emplace(std::forward<V>(New));
     return true;
   }
-  if (V.leq(*Slot))
+  if (New.leq(*Slot))
     return false;
-  *Slot = Slot->join(V);
+  *Slot = Slot->join(New);
   return true;
 }
 
-/// The sparse step: input and output buffers per dependency-graph node.
+/// The sparse step: value slots per dependency-graph node (see "Slot
+/// buffers" in the file comment), turned into In/Out states once the loop
+/// ends.
 template <typename Domain>
 void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
                        const SparseGraph &Graph, Domain &D,
                        const SparseOptions &Opts,
                        SparseFixResult<typename Domain::State> &R) {
   using State = typename Domain::State;
-  using Key = typename Domain::Key;
   using Val = typename Domain::Val;
   size_t N = Graph.numNodes();
   uint32_t NP = Graph.NumPoints;
-  // Points keep state maps.  A phi's input and output are one value each
-  // (see "Phi values" in the file comment), moved into R.In/R.Out once
-  // the loop ends.
-  R.In.resize(NP);
-  R.Out.resize(NP);
-  std::vector<std::optional<Val>> PhiIn(Graph.Phis.size()),
-      PhiOut(Graph.Phis.size());
+  SlotLayout Slots = layoutSlots(Graph);
+  SPA_OBS_GAUGE_SET("fixpoint.slots",
+                    Slots.InKeys.size() + Slots.OutKeys.size());
+  SlotValues<Val> InVals(Slots.InKeys.size()), OutVals(Slots.OutKeys.size());
+  // Changing arrivals per in-slot on cycle-closing edges.
+  std::vector<uint32_t> Arrivals(Slots.InKeys.size(), 0);
+  // Per point, the published defs no out-edge reads: only R.Out does.
+  std::vector<FlatMap<LocId, std::optional<Val>>> OutSide(NP);
   // One ledger row per graph node, written only by the shard that owns
   // the node, so counts are race-free and jobs-independent.
   obs::Ledger *Led = obs::LedgerEnabled ? Opts.Led : nullptr;
@@ -491,15 +598,12 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   SparseSchedule Sched = computeSparseSchedule(Prog, CG, Graph);
   const std::vector<uint32_t> &Prio = Sched.Prio;
   const std::vector<bool> &WidenNode = Sched.WidenNode;
-  // Changing arrivals per (node, location) on cycle-closing edges.
-  std::vector<FlatMap<LocId, uint32_t>> ArrivalCount(N);
   // Pending locations per point (phis keep none); see the file comment.
   std::vector<std::vector<LocId>> PendingLocs(NP);
 
-  // One worklist loop over a closed node set.  Shards touch disjoint
-  // slices of R.In/R.Out/PhiIn/PhiOut/ArrivalCount/PendingLocs and the
-  // ledger, so concurrent shard loops share those arrays without
-  // synchronization.
+  // One worklist loop over a closed node set.  Shards touch the slots,
+  // side maps, pending lists and ledger rows of disjoint nodes, so
+  // concurrent shard loops share those arrays without synchronization.
   auto RunShard = [&](size_t ShardIdx, const std::vector<uint32_t> &Nodes,
                       std::vector<uint32_t> &Pending) {
     WorkList WL(Prio);
@@ -513,51 +617,59 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
         WL, ShardIdx, Nodes.size(), Opts.Bud, Led, [&](uint32_t Node) {
           // Transfer, then publish the locations whose output grew.
           Changed.clear();
-          bool IsPhi = Graph.isPhi(Node);
           {
             auto Cost = D.cost();
-            if (IsPhi) {
-              // A phi is the identity on its location.
-              if (const std::optional<Val> &In = PhiIn[Node - NP]) {
+            if (Graph.isPhi(Node)) {
+              // A phi is the identity on its one slot.
+              if (const std::optional<Val> &In = InVals[Slots.InBegin[Node]]) {
                 ++Extracted;
-                if (publishValue(PhiOut[Node - NP], *In))
+                if (publishValue(OutVals[Slots.OutBegin[Node]], *In))
                   Changed.push_back(Graph.phi(Node).L);
               }
             } else {
               std::vector<LocId> &Locs = PendingLocs[Node];
               std::sort(Locs.begin(), Locs.end());
               Locs.erase(std::unique(Locs.begin(), Locs.end()), Locs.end());
-              State NewOut = D.transfer(PointId(Node), R.In[Node],
-                                        Graph.NodeDefs[Node], Locs);
-              Extracted += NewOut.size();
-              for (const auto &[K, V] : NewOut)
-                if (D.publish(R.Out[Node], K, V))
-                  Changed.push_back(Domain::locOf(K));
+              D.transfer(PointId(Node), Slots.inputs(Node, InVals),
+                         Graph.NodeDefs[Node], Locs,
+                         [&](LocId Loc, auto &&V) {
+                           ++Extracted;
+                           uint32_t S = Slots.outSlot(Node, Loc);
+                           if (S == SlotLayout::NoSlot)
+                             publishValue(OutSide[Node].getOrCreate(Loc),
+                                          std::forward<decltype(V)>(V));
+                           else if (publishValue(OutVals[S],
+                                                 std::forward<decltype(V)>(V)))
+                             Changed.push_back(Loc);
+                         });
             }
             Cost.charge(Led, Node, /*JournalBurst=*/true);
           }
           if (Changed.empty())
             return;
-          // A phi's out-edges all carry its location.
-          const Val *PhiV = IsPhi ? &*PhiOut[Node - NP] : nullptr;
+          // Out-edges arrive grouped by label: look each label's slot up
+          // once.
+          LocId VLoc;
+          const Val *VPtr = nullptr;
           Graph.Edges->forEachOutOn(Node, Changed, [&](LocId Loc,
                                                         uint32_t Dst) {
             ++EdgesWalked;
-            Key K = Domain::keyOf(Loc);
-            const Val &V = IsPhi ? *PhiV : *D.find(R.Out[Node], K);
+            if (!VPtr || Loc != VLoc) {
+              VLoc = Loc;
+              VPtr = &*OutVals[Slots.outSlot(Node, Loc)];
+            }
+            const Val &V = *VPtr;
             // Widening must cut every dependency cycle: it applies (after
             // the delay) at loop-head/recursion nodes and on retreating
             // edges (source scheduled at or after the target).
             bool CutsCycle = WidenNode[Dst] || Prio[Node] >= Prio[Dst];
-            std::optional<Val> *PhiDst =
-                Graph.isPhi(Dst) ? &PhiIn[Dst - NP] : nullptr;
-            const Val *Old = !PhiDst   ? D.find(R.In[Dst], K)
-                             : *PhiDst ? &**PhiDst
-                                       : nullptr;
+            uint32_t In = Slots.inSlot(Dst, Loc);
+            assert(In != SlotLayout::NoSlot && "an in-edge has an in-slot");
+            std::optional<Val> &Slot = InVals[In];
+            const Val *Old = Slot ? &*Slot : nullptr;
             MergeOp Op = MergeOp::Join;
             if (CutsCycle && Old) {
-              const uint32_t *C = ArrivalCount[Dst].lookup(Loc);
-              uint32_t Count = C ? *C : 0;
+              uint32_t Count = Arrivals[In];
               Op = Count >= D.cutAfter()          ? MergeOp::Cut
                    : Count >= Opts.WideningDelay ? MergeOp::Widen
                                                  : MergeOp::Join;
@@ -581,19 +693,16 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
             if (Old && New == *Old)
               return;
             if (CutsCycle)
-              ++ArrivalCount[Dst].getOrCreate(Loc);
+              ++Arrivals[In];
             SPA_OBS_COUNT("fixpoint.deliveries", 1);
             if (Led) {
               obs::PointCost &PC = Led->row(Dst);
               ++PC.Deliveries;
               PC.Growth += D.growth(Old, New);
             }
-            if (PhiDst) {
-              *PhiDst = std::move(New);
-            } else {
-              R.In[Dst].set(K, std::move(New));
+            Slot = std::move(New);
+            if (!Graph.isPhi(Dst))
               PendingLocs[Dst].push_back(Loc);
-            }
             WL.push(Dst);
           });
         });
@@ -623,18 +732,47 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     R.Degraded |= L.Degraded;
   }
 
-  // The phi values become one-entry states, once.
+  std::vector<uint32_t>().swap(Arrivals);
+  std::vector<std::vector<LocId>>().swap(PendingLocs);
+
+  // The slots become states, once, in key order.  Each block of slots is
+  // freed once its values moved out, so the values never exist twice.
+  auto Fill = [](State &S, std::span<const LocId> Keys, SlotValues<Val> &Vals,
+                 uint32_t Base, FlatMap<LocId, std::optional<Val>> *Side) {
+    size_t Size = Side ? Side->size() : 0;
+    for (uint32_t I = 0; I < Keys.size(); ++I)
+      Size += Vals[Base + I].has_value();
+    if (!Size)
+      return;
+    S.reserve(Size);
+    auto Put = [&](LocId L, std::optional<Val> &V) {
+      if (V)
+        S.set(Domain::keyOf(L), std::move(*V));
+    };
+    uint32_t I = 0;
+    if (Side)
+      for (auto &[L, V] : *Side) {
+        for (; I < Keys.size() && Keys[I] < L; ++I)
+          Put(Keys[I], Vals[Base + I]);
+        Put(L, V);
+      }
+    for (; I < Keys.size(); ++I)
+      Put(Keys[I], Vals[Base + I]);
+  };
   R.In.resize(N);
-  R.Out.resize(N);
-  for (uint32_t I = 0; I < Graph.Phis.size(); ++I) {
-    Key K = Domain::keyOf(Graph.Phis[I].L);
-    if (PhiIn[I])
-      R.In[NP + I].set(K, std::move(*PhiIn[I]));
-    if (PhiOut[I])
-      R.Out[NP + I].set(K, std::move(*PhiOut[I]));
+  for (uint32_t Node = 0; Node < N; ++Node) {
+    Fill(R.In[Node], Slots.inKeys(Node), InVals, Slots.InBegin[Node],
+         nullptr);
+    InVals.releaseBelow(Slots.InBegin[Node + 1]);
   }
-  std::vector<std::optional<Val>>().swap(PhiIn);
-  std::vector<std::optional<Val>>().swap(PhiOut);
+  R.Out.resize(N);
+  for (uint32_t Node = 0; Node < N; ++Node) {
+    Fill(R.Out[Node], Slots.outKeys(Node), OutVals, Slots.OutBegin[Node],
+         Node < NP ? &OutSide[Node] : nullptr);
+    OutVals.releaseBelow(Slots.OutBegin[Node + 1]);
+    if (Node < NP)
+      OutSide[Node] = {};
+  }
 
   if (R.Degraded) {
     // Affected nodes degrade on their use sets (In) and def sets (Out).

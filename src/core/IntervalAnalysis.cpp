@@ -19,16 +19,22 @@ using namespace spa;
 
 namespace {
 
+class IntervalDomain;
+
+const Value BottomValue;
+
 /// Mutable working state for a sparse node's transfer: reads fall back to
-/// the input buffer; writes land in an overlay.  The node's new output is
+/// the input slots; writes land in an overlay.  The node's new output is
 /// the overlay merged over the input, restricted to its def set.
 class WorkingState {
 public:
-  explicit WorkingState(const AbsState &In) : In(In) {}
+  explicit WorkingState(InputSlots<Value> In) : In(In) {}
 
   const Value &get(LocId L) const {
-    const Value *V = Overlay.lookup(L);
-    return V ? *V : In.get(L);
+    if (const Value *V = Overlay.lookup(L))
+      return *V;
+    const Value *V = In.find(L);
+    return V ? *V : BottomValue;
   }
 
   void set(LocId L, Value V) { Overlay.set(L, std::move(V)); }
@@ -43,17 +49,29 @@ public:
     return true;
   }
 
-  /// Extracts the output partial state over Defs ∩ (written ∪ Pending)
-  /// (walkSparseOutput): overlay values where written, input passthrough
-  /// otherwise (the identity on spurious definitions).  Consumes the
-  /// overlay: written values are moved out, not copied — this runs once
-  /// per node visit, so the copy churn of points-to vectors inside Value
-  /// would otherwise dominate allocation.
-  AbsState extract(const std::vector<LocId> &Defs,
-                   std::vector<LocId> &Pending);
+  /// Emits the output over Defs ∩ (written ∪ Pending) (walkSparseOutput):
+  /// overlay values where written, input passthrough otherwise (the
+  /// identity on spurious definitions); bottom values are absent and not
+  /// emitted.  Consumes the overlay: written values are moved out, not
+  /// copied — this runs once per node visit, so the copy churn of
+  /// points-to vectors inside Value would otherwise dominate allocation.
+  template <typename EmitFn>
+  void extract(const std::vector<LocId> &Defs, std::vector<LocId> &Pending,
+               EmitFn Emit) {
+    walkSparseOutput<IntervalDomain>(
+        Overlay, Defs, Pending,
+        [&](LocId L, Value &V) {
+          if (!V.isBot())
+            Emit(L, std::move(V));
+        },
+        [&](LocId L) {
+          if (const Value *V = In.find(L))
+            Emit(L, *V);
+        });
+  }
 
 private:
-  const AbsState &In;
+  InputSlots<Value> In;
   FlatMap<LocId, Value> Overlay;
 };
 
@@ -73,13 +91,6 @@ public:
   static LocId locOf(LocId L) { return L; }
   static LocId keyOf(LocId L) { return L; }
 
-  static const Value *find(const AbsState &S, LocId L) {
-    const Value &V = S.get(L);
-    return V.isBot() ? nullptr : &V;
-  }
-  static bool publish(AbsState &Out, LocId L, const Value &V) {
-    return Out.weakSet(L, V);
-  }
   static bool merge(AbsState &Post, const AbsState &Out, MergeOp Op) {
     return Op == MergeOp::Join ? Post.joinWith(Out) : Post.widenWith(Out);
   }
@@ -113,12 +124,13 @@ public:
   void transfer(PointId P, AbsState &S) const {
     applyCommand(Prog, &CG, P, S, Sem);
   }
-  AbsState transfer(PointId P, const AbsState &In,
-                    const std::vector<LocId> &Defs,
-                    std::vector<LocId> &Pending) const {
+  template <typename EmitFn>
+  void transfer(PointId P, InputSlots<Value> In,
+                const std::vector<LocId> &Defs, std::vector<LocId> &Pending,
+                EmitFn Emit) const {
     WorkingState WS(In);
     applyCommand(Prog, &CG, P, WS, Sem);
-    return WS.extract(Defs, Pending);
+    WS.extract(Defs, Pending, Emit);
   }
 
   /// Degradation joins the fallback (normally T̂pre, which Section 3.2
@@ -147,24 +159,6 @@ private:
   const AbsState *DegradeTo;
   std::optional<AbsState> Top;
 };
-
-AbsState WorkingState::extract(const std::vector<LocId> &Defs,
-                               std::vector<LocId> &Pending) {
-  // Locations arrive ascending, so each set() appends at the end in O(1).
-  AbsState Out;
-  walkSparseOutput<IntervalDomain>(
-      Overlay, Defs, Pending,
-      [&](LocId L, Value &V) {
-        if (!V.isBot())
-          Out.set(L, std::move(V));
-      },
-      [&](LocId L) {
-        const Value &V = In.get(L);
-        if (!V.isBot())
-          Out.set(L, V);
-      });
-  return Out;
-}
 
 } // namespace
 

@@ -480,20 +480,6 @@ public:
   static LocId locOf(PackId P) { return packAsLoc(P); }
   static PackId keyOf(LocId L) { return PackId(L.value()); }
 
-  static const OctVal *find(const OctState &S, PackId P) {
-    return S.lookup(P);
-  }
-  static bool publish(OctState &Out, PackId P, const OctVal &V) {
-    OctVal *Slot = Out.lookup(P);
-    if (!Slot) {
-      Out.set(P, V);
-      return true;
-    }
-    if (V.leq(*Slot))
-      return false;
-    *Slot = Slot->join(V);
-    return true;
-  }
   bool merge(OctState &Post, const OctState &Out, MergeOp Op) const {
     if (Op == MergeOp::Cut)
       SPA_OBS_COUNT("oct.hard_tops", 1);
@@ -525,22 +511,21 @@ public:
     DenseView View{S, *this};
     OctTransfer<DenseView>(Prog, Pre, Packs, View).apply(P);
   }
-  /// Output over Defs ∩ (written ∪ Pending) (walkSparseOutput): overlay
-  /// where written, input passthrough otherwise.
-  OctState transfer(PointId P, const OctState &In,
-                    const std::vector<LocId> &Defs,
-                    std::vector<LocId> &Pending) const {
+  /// Emits the output over Defs ∩ (written ∪ Pending) (walkSparseOutput):
+  /// overlay where written, input passthrough otherwise.
+  template <typename EmitFn>
+  void transfer(PointId P, InputSlots<OctVal> In,
+                const std::vector<LocId> &Defs, std::vector<LocId> &Pending,
+                EmitFn Emit) const {
     SparseView View{In, *this, {}};
     OctTransfer<SparseView>(Prog, Pre, Packs, View).apply(P);
-    OctState Out;
     walkSparseOutput<OctDomain>(
         View.Overlay, Defs, Pending,
-        [&](LocId L, OctVal &V) { Out.set(keyOf(L), std::move(V)); },
+        [&](LocId L, OctVal &V) { Emit(L, std::move(V)); },
         [&](LocId L) {
-          if (const OctVal *V = In.lookup(keyOf(L)))
-            Out.set(keyOf(L), *V);
+          if (const OctVal *V = In.find(L))
+            Emit(L, *V);
         });
-    return Out;
   }
 
   /// Degradation binds packs to ⊤: all-⊤ over-approximates every concrete
@@ -583,16 +568,16 @@ private:
     void set(PackId P, OctVal V) { S.set(P, std::move(V)); }
   };
 
-  /// Sparse view: reads fall back to the node's input buffer, then ⊤;
+  /// Sparse view: reads fall back to the node's input slots, then ⊤;
   /// writes land in an overlay.
   struct SparseView {
-    const OctState &In;
+    InputSlots<OctVal> In;
     const OctDomain &D;
     OctState Overlay;
     const OctVal &get(PackId P) const {
       if (const OctVal *V = Overlay.lookup(P))
         return *V;
-      if (const OctVal *V = In.lookup(P))
+      if (const OctVal *V = In.find(locOf(P)))
         return *V;
       return D.top(P);
     }
