@@ -10,7 +10,8 @@
 #include "obs/MetricsSink.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 using namespace spa;
@@ -78,7 +79,15 @@ void collectDerefs(const IExpr &E, std::vector<LocId> &Out) {
 
 CheckerSummary spa::checkBufferOverruns(const Program &Prog,
                                         const AnalysisRun &Run) {
-  assert(Run.Sparse && "checker consumes a sparse analysis result");
+  // A dense run has no input buffers to read.  Callers reject such runs
+  // up front (spa-analyze: --check needs --engine=sparse); this check
+  // stays in every build type so a missed one stops instead of reading
+  // nothing.
+  if (!Run.Sparse) {
+    std::fprintf(stderr,
+                 "checkBufferOverruns: the checker needs a sparse run\n");
+    std::abort();
+  }
   CheckerSummary Summary;
   Summary.Degraded = Run.degraded();
 

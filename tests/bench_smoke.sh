@@ -153,6 +153,22 @@ grep -q "loop.spa *timeout" "$WORK/shard-timeout.txt" || {
   exit 1
 }
 
+# The checker reads the sparse engine's input buffers: a dense engine
+# with --check or --explain-alarm is a usage error (exit 1) before any
+# analysis, for one program and for a sharded batch alike.
+for args in "--engine=base --check $EXAMPLES/loop.spa" \
+  "--engine=vanilla --check $EXAMPLES/pointers.spa" \
+  "--engine=base --explain-alarm=0 $EXAMPLES/loop.spa" \
+  "--engine=vanilla --check --batch=$WORK/batch.lst --shards=2"; do
+  "$ANALYZE" $args > "$WORK/dense-check.txt" 2>&1
+  rc=$?
+  if [ $rc -ne 1 ] || ! grep -q "engine=sparse" "$WORK/dense-check.txt"; then
+    echo "FAIL: spa-analyze $args exited $rc, want 1 naming --engine=sparse"
+    cat "$WORK/dense-check.txt"
+    exit 1
+  fi
+done
+
 # Table 2 must append one JSON record per (benchmark, engine) cell.
 SPA_SCALE=0.02 SPA_TIME_LIMIT=10 SPA_BENCH_JSON="$WORK/records.jsonl" \
   "$TABLE2" > /dev/null || exit 1

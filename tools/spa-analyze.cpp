@@ -775,6 +775,14 @@ int main(int Argc, char **Argv) {
   if (!Cli.Connect.empty())
     return runConnectMode(Cli);
 
+  // The checker reads the sparse engine's input buffers; the dense
+  // engines keep none.  (A served check always runs sparse.)
+  if (Cli.Check && Cli.Engine != EngineKind::Sparse) {
+    std::fprintf(stderr, "error: --check and --explain-alarm need "
+                         "--engine=sparse\n");
+    return 1;
+  }
+
   if (!Cli.BatchFile.empty() || Cli.BatchSuite)
     return runBatchMode(Cli); // Forensics install per item in workers.
 
