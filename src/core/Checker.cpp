@@ -145,8 +145,9 @@ CheckerSummary spa::checkBufferOverruns(const Program &Prog,
 CheckerSummary spa::analyzeAndCheck(const Program &Prog) {
   AnalyzerOptions Opts;
   Opts.Engine = EngineKind::Sparse;
-  // The checker reads pointer operands from the input buffers, which the
-  // bypass contraction would thin out; keep the full buffers.
+  // The bypass-off graph, as `spa-analyze --check` uses: the contraction
+  // keeps the pointer operands the checker reads, but the two graphs
+  // widen block sizes differently, so verdicts could differ (Checker.h).
   Opts.Dep.Bypass = false;
   AnalysisRun Run = analyzeProgram(Prog, Opts);
   return checkBufferOverruns(Prog, Run);

@@ -184,7 +184,7 @@ BatchResult spa::runBatch(const std::vector<BatchItem> &Items,
 
   AnalyzerOptions AOpts = Opts.Analyzer;
   if (Opts.Check)
-    AOpts.Dep.Bypass = false; // The checker reads input buffers.
+    AOpts.Dep.Bypass = false; // Checks on --check's graph (Checker.h).
   AnalyzerOptions Lower = lowerTierOptions(AOpts);
   unsigned Jobs = AOpts.Jobs ? AOpts.Jobs : ThreadPool::defaultJobs();
 

@@ -243,7 +243,7 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
 
   AnalyzerOptions AOpts = Opts.Batch.Analyzer;
   if (Opts.Batch.Check)
-    AOpts.Dep.Bypass = false; // The checker reads input buffers.
+    AOpts.Dep.Bypass = false; // Checks on --check's graph (Checker.h).
   unsigned NumWorkers = std::max(1u, Opts.Shards);
   NumWorkers = std::min<unsigned>(NumWorkers, Items.size());
   Timer Clock;
