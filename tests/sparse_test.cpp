@@ -17,13 +17,16 @@
 
 #include "core/Analyzer.h"
 #include "interp/Interp.h"
+#include "oct/OctAnalysis.h"
 #include "workload/Generator.h"
+#include "workload/Suite.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 
 using namespace spa;
@@ -505,5 +508,57 @@ TEST(SparseAnalysis, ExhaustedBudgetSkipsTheContraction) {
       EXPECT_EQ(G.BypassRemoved, 0u) << Jobs;
       EXPECT_EQ(G.EdgesBeforeBypass, Off.Graph->Edges->edgeCount()) << Jobs;
     }
+  }
+}
+
+TEST(SparseAnalysis, StatesStayWithinInEdgeLabelsAndDefs) {
+  // The sparse step lays out one input slot per distinct label of a
+  // node's in-edges and one output slot per def: a delivery writes only
+  // along an in-edge, and a transfer emits only over the def set.  So
+  // every In key labels one of the node's in-edges and every Out key is
+  // one of its defs (NodeDefs; a phi's location), in both graphs and
+  // both domains.
+  auto Check = [](const std::string &Name, const SparseGraph &G,
+                  const auto &R, auto LocOf) {
+    ASSERT_FALSE(R.Degraded) << Name;
+    std::vector<std::vector<LocId>> InLabels(G.numNodes());
+    for (uint32_t N = 0; N < G.numNodes(); ++N)
+      G.Edges->forEachOut(
+          N, [&](LocId L, uint32_t Dst) { InLabels[Dst].push_back(L); });
+    uint64_t Keys = 0;
+    for (uint32_t N = 0; N < G.numNodes(); ++N) {
+      std::vector<LocId> &Labels = InLabels[N];
+      std::sort(Labels.begin(), Labels.end());
+      for (const auto &Entry : R.In[N]) {
+        ++Keys;
+        EXPECT_TRUE(std::binary_search(Labels.begin(), Labels.end(),
+                                       LocOf(Entry.first)))
+            << Name << " node " << N << " In key without an in-edge";
+      }
+      std::span<const LocId> Defs = G.defs(N);
+      for (const auto &Entry : R.Out[N]) {
+        ++Keys;
+        EXPECT_TRUE(std::find(Defs.begin(), Defs.end(), LocOf(Entry.first)) !=
+                    Defs.end())
+            << Name << " node " << N << " Out key outside the defs";
+      }
+    }
+    EXPECT_GT(Keys, 0u) << Name;
+  };
+  for (const SuiteEntry &E : paperSuite(0.02)) {
+    auto Prog = test::build(generateSource(E.Config));
+    for (bool Bypass : {true, false}) {
+      AnalyzerOptions Opts;
+      Opts.Dep.Bypass = Bypass;
+      AnalysisRun Run = analyzeProgram(*Prog, Opts);
+      Check(E.Name + (Bypass ? "" : " no-bypass"), *Run.Graph, *Run.Sparse,
+            [](LocId L) { return L; });
+    }
+  }
+  for (const SuiteEntry &E : octagonSuite(0.05)) {
+    auto Prog = test::build(generateSource(E.Config));
+    OctRun Run = runOctAnalysis(*Prog, {});
+    Check(E.Name + " octagon", *Run.Graph, *Run.Sparse,
+          [](PackId P) { return LocId(P.value()); });
   }
 }
