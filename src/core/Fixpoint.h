@@ -276,7 +276,11 @@ template <typename Domain, typename OverlayMap, typename WrittenFn,
 void walkSparseOutput(OverlayMap &Overlay, const std::vector<LocId> &Defs,
                       std::vector<LocId> &Pending, WrittenFn Written,
                       PassthroughFn Passthrough) {
-  std::vector<LocId> Wrote;
+  // The written list becomes the new Pending; its buffer is a per-thread
+  // scratch that trades places with the old Pending, so a visit
+  // allocates nothing here.
+  thread_local std::vector<LocId> Wrote;
+  Wrote.clear();
   auto O = Overlay.begin(), OE = Overlay.end();
   auto P = Pending.begin(), PE = Pending.end();
   auto D = Defs.begin(), DE = Defs.end();
@@ -299,7 +303,7 @@ void walkSparseOutput(OverlayMap &Overlay, const std::vector<LocId> &Defs,
     if (FromOverlay)
       ++O;
   }
-  Pending = std::move(Wrote);
+  Pending.swap(Wrote);
 }
 
 /// Union of AccessDefs and AccessUses per function, sorted (the Base
@@ -747,7 +751,7 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     S.reserve(Size);
     auto Put = [&](LocId L, std::optional<Val> &V) {
       if (V)
-        S.set(Domain::keyOf(L), std::move(*V));
+        S.append(Domain::keyOf(L), std::move(*V));
     };
     uint32_t I = 0;
     if (Side)

@@ -28,7 +28,11 @@ const Value BottomValue;
 /// the overlay merged over the input, restricted to its def set.
 class WorkingState {
 public:
-  explicit WorkingState(InputSlots<Value> In) : In(In) {}
+  /// The overlay is a per-thread scratch map, emptied here, so a visit
+  /// allocates no map of its own.
+  explicit WorkingState(InputSlots<Value> In) : In(In), Overlay(scratch()) {
+    Overlay.clear();
+  }
 
   const Value &get(LocId L) const {
     if (const Value *V = Overlay.lookup(L))
@@ -71,8 +75,13 @@ public:
   }
 
 private:
+  static FlatMap<LocId, Value> &scratch() {
+    thread_local FlatMap<LocId, Value> Map;
+    return Map;
+  }
+
   InputSlots<Value> In;
-  FlatMap<LocId, Value> Overlay;
+  FlatMap<LocId, Value> &Overlay;
 };
 
 /// The interval domain adapter (interface in core/Fixpoint.h).

@@ -73,6 +73,10 @@ public:
     mut().set(L, std::move(V));
   }
 
+  /// Binds \p L, greater than every bound location, to the non-bottom
+  /// \p V in O(1): set() for a state built in location order.
+  void append(LocId L, Value V) { mut().append(L, std::move(V)); }
+
   /// Weak update (the paper's ⊔-update): join \p V into \p L's binding.
   /// Returns true if the binding grew.  The no-change test runs on the
   /// shared buffer, so a no-op weak update never detaches.

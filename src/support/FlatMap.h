@@ -70,6 +70,13 @@ public:
   /// Sets \p Key to \p Val, overwriting any previous binding.
   void set(const K &Key, V Val) { getOrCreate(Key) = std::move(Val); }
 
+  /// Binds \p Key, greater than every key present, to \p Val in O(1):
+  /// set() for a map built in key order.
+  void append(const K &Key, V Val) {
+    assert(Entries.empty() || Entries.back().first < Key);
+    Entries.emplace_back(Key, std::move(Val));
+  }
+
   /// Removes \p Key if present; returns true if it was present.
   bool erase(const K &Key) {
     auto It = lowerBound(Key);
