@@ -40,7 +40,7 @@ for ex in loop pointers; do
     phase.depbuild.bypass.seconds phase.depbuild.storage.seconds \
     phase.fix.seconds phase.total.seconds fixpoint.worklist.pops \
     fixpoint.visits fixpoint.extracted fixpoint.edges_walked \
-    depgraph.edges depgraph.nodes depgraph.phis depgraph.phis_dropped \
+    fixpoint.slots depgraph.edges depgraph.nodes depgraph.phis depgraph.phis_dropped \
     program.points \
     program.locs mem.peak_rss_kib value.pool.nodes value.pool.hit_rate \
     state.cow.detaches
@@ -53,7 +53,7 @@ for ex in loop pointers; do
     "$EXAMPLES/$ex.spa" > /dev/null || exit 1
   require_keys "$WORK/$ex-o.json" \
     phase.total.seconds oct.closures oct.packs fixpoint.worklist.pops \
-    fixpoint.extracted fixpoint.edges_walked mem.peak_rss_kib
+    fixpoint.extracted fixpoint.edges_walked fixpoint.slots mem.peak_rss_kib
 done
 
 # The octagon run must actually have closed DBMs.
