@@ -18,7 +18,7 @@
 ///    localized for Base — runs the transfer, applies delayed widening per
 ///    point, and narrows;
 ///  * the sparse step (runSparseFixpoint) runs phi identities and
-///    transfers over input buffers and delivers changed values along
+///    transfers over input slots and delivers changed values along
 ///    dependency edges, with delayed widening per (node, location) on
 ///    cycle-closing edges, the exact V ⊑ Old no-change skip, and
 ///    component shards.  A visit costs what changed: it re-publishes only
@@ -33,18 +33,17 @@
 ///   static constexpr bool Narrows; dense narrowing supported
 ///   static constexpr uint64_t JournalBase;  DegradeTier engine id - 1
 ///   static LocId locOf(Key); static Key keyOf(LocId);
-///   const Val *find(const State &, Key);    null = bottom
-///   bool publish(State &Out, Key, const Val &);  weak update; grew?
 ///   bool merge(State &Post, const State &Out, MergeOp);  changed?
 ///   Val extrapolate(const Val &Old, const Val &V, MergeOp);  Widen/Cut
 ///   uint32_t cutAfter();           changes before MergeOp::Cut applies
 ///   uint64_t growth(const Val *Old, const Val &New);  ledger units
 ///   void transfer(PointId, State &);               dense, in place
-///   State transfer(PointId, const State &In, const std::vector<LocId>
-///                  &Defs, std::vector<LocId> &Pending);
-///                  sparse, over In: the output over Defs ∩ (written ∪
-///                  Pending), ascending (walkSparseOutput); leaves this
-///                  visit's written locations in Pending
+///   void transfer(PointId, InputSlots<Val> In, const std::vector<LocId>
+///                 &Defs, std::vector<LocId> &Pending, Emit);
+///                 sparse, over In: calls Emit(LocId, Val) for the
+///                 output over Defs ∩ (written ∪ Pending), ascending and
+///                 without absent values (walkSparseOutput); leaves this
+///                 visit's written locations in Pending
 ///   void degrade(State &); void degrade(State &, LocId);
 ///   cost();   a scope whose charge() adds domain cost to a ledger row
 ///
@@ -79,12 +78,26 @@
 /// is exact: every In/Out state, visit and counter is that of the full
 /// re-extraction.  Phis publish their one location and keep nothing.
 ///
-/// Phi values: a phi defines and uses exactly its location, so during
-/// the loop its input and output are one optional value each in flat
-/// per-phi arrays (written only by the shard that owns the phi, like
-/// R.In/R.Out), not state maps; its visit is publishValue, the value form
-/// of Domain::publish.  They move into R.In/R.Out once, after the loop
-/// and before degradation, so results keep their shape.
+/// Slot buffers: a value crosses one dependency edge into a buffer that
+/// holds only what its edges can carry, so during the loop each node
+/// keeps flat value slots instead of state maps.  layoutSlots lays them
+/// out once per run from the graph's edges: a point gets one input slot
+/// per distinct label of its in-edges and one output slot per distinct
+/// label of its out-edges; a phi, which defines and uses exactly its
+/// location, gets one of each.  A slot is an empty std::optional until a
+/// value arrives (an absent octagon pack reads ⊤, a present ⊥ does not,
+/// so there is no bottom placeholder).  A delivery, its arrival count and
+/// a publish write their slot in place, found by a search over the
+/// node's sorted location keys; the transfer reads its input through the
+/// slots (InputSlots) and emits its output straight into them.  Defs
+/// published with no out-edge feed nothing, so they go to a per-point
+/// side map that only the final Out reads.  Every delivery writes along
+/// an in-edge and every publish lies in D̂(c), so the slots hold exactly
+/// what the state maps held (SparseAnalysis.StatesStayWithinInEdgeLabels-
+/// AndDefs pins that).  After the loop and before degradation the slots
+/// become R.In/R.Out, in key order, each block of slots freed as its
+/// values move out, so results keep their shape and the values never
+/// exist twice.  Shards own disjoint nodes, hence disjoint slots.
 ///
 //===----------------------------------------------------------------------===//
 
