@@ -664,8 +664,8 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
           }
           if (Changed.empty())
             return;
-          // Out-edges arrive grouped by label: look each label's slot up
-          // once.
+          // The set storage walks the edges of one label together: look
+          // a label's out-slot up once per run of them.
           LocId VLoc;
           const Val *VPtr = nullptr;
           Graph.Edges->forEachOutOn(Node, Changed, [&](LocId Loc,
