@@ -112,58 +112,56 @@ SlotLayout spa::layoutSlots(const SparseGraph &Graph) {
   uint32_t N = static_cast<uint32_t>(Graph.numNodes());
   uint32_t NP = Graph.NumPoints;
   SlotLayout S;
-  S.InBegin.assign(N + 1, 0);
-  S.OutBegin.resize(N + 1);
+  SlotSide &In = S.In, &Out = S.Out;
+  In.Begin.assign(N + 1, 0);
+  Out.Begin.resize(N + 1);
   // One walk lays out the out-slots and counts each point's in-edges,
   // an upper bound on its in-slots; a phi has one slot per side.
-  auto SortUnique = [](std::vector<LocId> &V, size_t From) {
-    std::sort(V.begin() + From, V.end());
-    V.erase(std::unique(V.begin() + From, V.end()), V.end());
-  };
   for (uint32_t Src = 0; Src < N; ++Src) {
-    S.OutBegin[Src] = static_cast<uint32_t>(S.OutKeys.size());
+    Out.Begin[Src] = static_cast<uint32_t>(Out.Keys.size());
     bool SrcIsPhi = Graph.isPhi(Src);
     if (SrcIsPhi)
-      S.OutKeys.push_back(Graph.phi(Src).L);
+      Out.Keys.push_back(Graph.phi(Src).L);
     Graph.Edges->forEachOut(Src, [&](LocId L, uint32_t Dst) {
       if (!SrcIsPhi)
-        S.OutKeys.push_back(L);
+        Out.Keys.push_back(L);
       if (Dst < NP)
-        ++S.InBegin[Dst + 1];
+        ++In.Begin[Dst + 1];
     });
-    if (!SrcIsPhi)
-      SortUnique(S.OutKeys, S.OutBegin[Src]);
+    auto B = Out.Keys.begin() + Out.Begin[Src];
+    std::sort(B, Out.Keys.end());
+    Out.Keys.erase(std::unique(B, Out.Keys.end()), Out.Keys.end());
   }
-  S.OutBegin[N] = static_cast<uint32_t>(S.OutKeys.size());
+  Out.Begin[N] = static_cast<uint32_t>(Out.Keys.size());
   for (uint32_t Node = NP; Node < N; ++Node)
-    S.InBegin[Node + 1] = 1;
+    In.Begin[Node + 1] = 1;
   for (uint32_t Node = 0; Node < N; ++Node)
-    S.InBegin[Node + 1] += S.InBegin[Node];
+    In.Begin[Node + 1] += In.Begin[Node];
 
   // A second walk fills the points' in-edge labels; each point's range
   // is then sorted, deduplicated and packed down.
-  S.InKeys.resize(S.InBegin[N]);
-  std::vector<uint32_t> Fill(S.InBegin.begin(), S.InBegin.end() - 1);
+  In.Keys.resize(In.Begin[N]);
+  std::vector<uint32_t> Fill(In.Begin.begin(), In.Begin.end() - 1);
   for (uint32_t Node = NP; Node < N; ++Node)
-    S.InKeys[Fill[Node]++] = Graph.phi(Node).L;
+    In.Keys[Fill[Node]++] = Graph.phi(Node).L;
   for (uint32_t Src = 0; Src < N; ++Src)
     Graph.Edges->forEachOut(Src, [&](LocId L, uint32_t Dst) {
       if (Dst < NP)
-        S.InKeys[Fill[Dst]++] = L;
+        In.Keys[Fill[Dst]++] = L;
     });
   uint32_t Packed = 0;
   for (uint32_t Node = 0; Node < N; ++Node) {
-    auto B = S.InKeys.begin() + S.InBegin[Node];
-    auto E = S.InKeys.begin() + S.InBegin[Node + 1];
+    auto B = In.Keys.begin() + In.Begin[Node];
+    auto E = In.Keys.begin() + In.Begin[Node + 1];
     std::sort(B, E);
     E = std::unique(B, E);
-    S.InBegin[Node] = Packed;
+    In.Begin[Node] = Packed;
     Packed = static_cast<uint32_t>(
-        std::move(B, E, S.InKeys.begin() + Packed) - S.InKeys.begin());
+        std::move(B, E, In.Keys.begin() + Packed) - In.Keys.begin());
   }
-  S.InBegin[N] = Packed;
-  S.InKeys.resize(Packed);
-  S.InKeys.shrink_to_fit();
-  S.OutKeys.shrink_to_fit();
+  In.Begin[N] = Packed;
+  In.Keys.resize(Packed);
+  In.Keys.shrink_to_fit();
+  Out.Keys.shrink_to_fit();
   return S;
 }

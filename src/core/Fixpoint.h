@@ -522,46 +522,29 @@ private:
   uint32_t Base;
 };
 
-/// Where the sparse step keeps its values (see "Slot buffers" above):
-/// node I's in-slots are [InBegin[I], InBegin[I + 1]), keyed by the
-/// ascending InKeys in that range, and likewise its out-slots.
-struct SlotLayout {
+/// One side (input or output) of the sparse step's slot layout (see
+/// "Slot buffers" above): node I's slots are [Begin[I], Begin[I + 1]),
+/// keyed by the ascending Keys in that range.
+struct SlotSide {
   static constexpr uint32_t NoSlot = UINT32_MAX;
-  std::vector<uint32_t> InBegin, OutBegin; ///< One per node, plus the end.
-  std::vector<LocId> InKeys, OutKeys;
+  std::vector<uint32_t> Begin; ///< One per node, plus the end.
+  std::vector<LocId> Keys;
 
-  std::span<const LocId> inKeys(uint32_t Node) const {
-    return keys(InBegin, InKeys, Node);
-  }
-  std::span<const LocId> outKeys(uint32_t Node) const {
-    return keys(OutBegin, OutKeys, Node);
-  }
-  /// The slot of \p L at \p Node, or NoSlot.
-  uint32_t inSlot(uint32_t Node, LocId L) const {
-    return find(InBegin, InKeys, Node, L);
-  }
-  uint32_t outSlot(uint32_t Node, LocId L) const {
-    return find(OutBegin, OutKeys, Node, L);
-  }
-  template <typename Val>
-  InputSlots<Val> inputs(uint32_t Node, const SlotValues<Val> &Vals) const {
-    return {inKeys(Node), Vals, InBegin[Node]};
-  }
-
-private:
-  static std::span<const LocId> keys(const std::vector<uint32_t> &Begin,
-                                     const std::vector<LocId> &Keys,
-                                     uint32_t Node) {
+  std::span<const LocId> keys(uint32_t Node) const {
     return {Keys.data() + Begin[Node], Begin[Node + 1] - Begin[Node]};
   }
-  static uint32_t find(const std::vector<uint32_t> &Begin,
-                       const std::vector<LocId> &Keys, uint32_t Node,
-                       LocId L) {
+  /// The slot of \p L at \p Node, or NoSlot.
+  uint32_t find(uint32_t Node, LocId L) const {
     auto B = Keys.begin() + Begin[Node], E = Keys.begin() + Begin[Node + 1];
     auto It = std::lower_bound(B, E, L);
     return It != E && *It == L ? static_cast<uint32_t>(It - Keys.begin())
                                : NoSlot;
   }
+};
+
+/// The sparse step's slots, input and output side.
+struct SlotLayout {
+  SlotSide In, Out;
 };
 
 /// Lays out the slots of every node of \p Graph from its edges: a point
@@ -600,10 +583,11 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   uint32_t NP = Graph.NumPoints;
   SlotLayout Slots = layoutSlots(Graph);
   SPA_OBS_GAUGE_SET("fixpoint.slots",
-                    Slots.InKeys.size() + Slots.OutKeys.size());
-  SlotValues<Val> InVals(Slots.InKeys.size()), OutVals(Slots.OutKeys.size());
+                    Slots.In.Keys.size() + Slots.Out.Keys.size());
+  SlotValues<Val> InVals(Slots.In.Keys.size()),
+      OutVals(Slots.Out.Keys.size());
   // Changing arrivals per in-slot on cycle-closing edges.
-  std::vector<uint32_t> Arrivals(Slots.InKeys.size(), 0);
+  std::vector<uint32_t> Arrivals(Slots.In.Keys.size(), 0);
   // Per point, the published defs no out-edge reads: only R.Out does.
   std::vector<FlatMap<LocId, std::optional<Val>>> OutSide(NP);
   // One ledger row per graph node, written only by the shard that owns
@@ -638,21 +622,23 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
             auto Cost = D.cost();
             if (Graph.isPhi(Node)) {
               // A phi is the identity on its one slot.
-              if (const std::optional<Val> &In = InVals[Slots.InBegin[Node]]) {
+              if (const std::optional<Val> &In = InVals[Slots.In.Begin[Node]]) {
                 ++Extracted;
-                if (publishValue(OutVals[Slots.OutBegin[Node]], *In))
+                if (publishValue(OutVals[Slots.Out.Begin[Node]], *In))
                   Changed.push_back(Graph.phi(Node).L);
               }
             } else {
               std::vector<LocId> &Locs = PendingLocs[Node];
               std::sort(Locs.begin(), Locs.end());
               Locs.erase(std::unique(Locs.begin(), Locs.end()), Locs.end());
-              D.transfer(PointId(Node), Slots.inputs(Node, InVals),
+              D.transfer(PointId(Node),
+                         InputSlots<Val>(Slots.In.keys(Node), InVals,
+                                         Slots.In.Begin[Node]),
                          Graph.NodeDefs[Node], Locs,
                          [&](LocId Loc, auto &&V) {
                            ++Extracted;
-                           uint32_t S = Slots.outSlot(Node, Loc);
-                           if (S == SlotLayout::NoSlot)
+                           uint32_t S = Slots.Out.find(Node, Loc);
+                           if (S == SlotSide::NoSlot)
                              publishValue(OutSide[Node].getOrCreate(Loc),
                                           std::forward<decltype(V)>(V));
                            else if (publishValue(OutVals[S],
@@ -673,15 +659,15 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
             ++EdgesWalked;
             if (!VPtr || Loc != VLoc) {
               VLoc = Loc;
-              VPtr = &*OutVals[Slots.outSlot(Node, Loc)];
+              VPtr = &*OutVals[Slots.Out.find(Node, Loc)];
             }
             const Val &V = *VPtr;
             // Widening must cut every dependency cycle: it applies (after
             // the delay) at loop-head/recursion nodes and on retreating
             // edges (source scheduled at or after the target).
             bool CutsCycle = WidenNode[Dst] || Prio[Node] >= Prio[Dst];
-            uint32_t In = Slots.inSlot(Dst, Loc);
-            assert(In != SlotLayout::NoSlot && "an in-edge has an in-slot");
+            uint32_t In = Slots.In.find(Dst, Loc);
+            assert(In != SlotSide::NoSlot && "an in-edge has an in-slot");
             std::optional<Val> &Slot = InVals[In];
             const Val *Old = Slot ? &*Slot : nullptr;
             MergeOp Op = MergeOp::Join;
@@ -778,15 +764,15 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   };
   R.In.resize(N);
   for (uint32_t Node = 0; Node < N; ++Node) {
-    Fill(R.In[Node], Slots.inKeys(Node), InVals, Slots.InBegin[Node],
+    Fill(R.In[Node], Slots.In.keys(Node), InVals, Slots.In.Begin[Node],
          nullptr);
-    InVals.releaseBelow(Slots.InBegin[Node + 1]);
+    InVals.releaseBelow(Slots.In.Begin[Node + 1]);
   }
   R.Out.resize(N);
   for (uint32_t Node = 0; Node < N; ++Node) {
-    Fill(R.Out[Node], Slots.outKeys(Node), OutVals, Slots.OutBegin[Node],
+    Fill(R.Out[Node], Slots.Out.keys(Node), OutVals, Slots.Out.Begin[Node],
          Node < NP ? &OutSide[Node] : nullptr);
-    OutVals.releaseBelow(Slots.OutBegin[Node + 1]);
+    OutVals.releaseBelow(Slots.Out.Begin[Node + 1]);
     if (Node < NP)
       OutSide[Node] = {};
   }
