@@ -28,14 +28,14 @@
 /// that moves a point state, a live phi state or a visit to a node with
 /// an edge changes them.
 ///
-/// Every input also gets lines for the two partial runs of the sparse
-/// step: `sparse-degraded`, a run whose step budget trips halfway through
-/// the fixpoint (interval on both inputs and the bypass-off suite graph,
-/// octagon on the small inputs), digesting the degraded In/Out states and
-/// the degraded node ids; and one `sparse-restricted` line, an interval
-/// run of a program of four data-independent functions over its
-/// odd-numbered dependency components only (RestrictNodes, the server's
-/// partial re-solve), whose other nodes keep empty buffers.
+/// The sparse step's two partial runs get lines too: `sparse-degraded`,
+/// a run whose step budget trips halfway through the fixpoint (interval
+/// and octagon on the examples and generator programs, interval on the
+/// bypass-off graphs of the suite programs), digesting the degraded
+/// In/Out states and the degraded node ids; and one `sparse-restricted`
+/// line, an interval run of a program of four data-independent functions
+/// over its odd-numbered dependency components only (RestrictNodes, the
+/// server's partial re-solve), whose other nodes keep empty buffers.
 ///
 /// Every octagon run also gets a `<engine>-matrix` line over the whole
 /// matrix of every pack.  Oct::str() prints the projections and only
