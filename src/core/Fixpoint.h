@@ -498,30 +498,6 @@ private:
   uint32_t Released = 0;
 };
 
-/// A node's input slots, as the sparse transfer reads them.
-template <typename Val> class InputSlots {
-public:
-  InputSlots(std::span<const LocId> Keys, const SlotValues<Val> &Vals,
-             uint32_t Base)
-      : Keys(Keys), Vals(Vals), Base(Base) {}
-
-  /// The value delivered for \p L, or null if none was (the domain's
-  /// absent entry).
-  const Val *find(LocId L) const {
-    auto It = std::lower_bound(Keys.begin(), Keys.end(), L);
-    if (It == Keys.end() || *It != L)
-      return nullptr;
-    const std::optional<Val> &V =
-        Vals[Base + static_cast<uint32_t>(It - Keys.begin())];
-    return V ? &*V : nullptr;
-  }
-
-private:
-  std::span<const LocId> Keys;
-  const SlotValues<Val> &Vals;
-  uint32_t Base;
-};
-
 /// One side (input or output) of the sparse step's slot layout (see
 /// "Slot buffers" above): node I's slots are [Begin[I], Begin[I + 1]),
 /// keyed by the ascending Keys in that range.
@@ -540,6 +516,28 @@ struct SlotSide {
     return It != E && *It == L ? static_cast<uint32_t>(It - Keys.begin())
                                : NoSlot;
   }
+};
+
+/// A node's input slots, as the sparse transfer reads them.
+template <typename Val> class InputSlots {
+public:
+  InputSlots(const SlotSide &In, uint32_t Node, const SlotValues<Val> &Vals)
+      : In(In), Node(Node), Vals(Vals) {}
+
+  /// The value delivered for \p L, or null if none was (the domain's
+  /// absent entry).
+  const Val *find(LocId L) const {
+    uint32_t S = In.find(Node, L);
+    if (S == SlotSide::NoSlot)
+      return nullptr;
+    const std::optional<Val> &V = Vals[S];
+    return V ? &*V : nullptr;
+  }
+
+private:
+  const SlotSide &In;
+  uint32_t Node;
+  const SlotValues<Val> &Vals;
 };
 
 /// The sparse step's slots, input and output side.
@@ -631,9 +629,7 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
               std::vector<LocId> &Locs = PendingLocs[Node];
               std::sort(Locs.begin(), Locs.end());
               Locs.erase(std::unique(Locs.begin(), Locs.end()), Locs.end());
-              D.transfer(PointId(Node),
-                         InputSlots<Val>(Slots.In.keys(Node), InVals,
-                                         Slots.In.Begin[Node]),
+              D.transfer(PointId(Node), InputSlots<Val>(Slots.In, Node, InVals),
                          Graph.NodeDefs[Node], Locs,
                          [&](LocId Loc, auto &&V) {
                            ++Extracted;
