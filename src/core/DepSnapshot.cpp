@@ -145,6 +145,11 @@ DepSnapshotResult decodeDepGraph(const Program &Prog,
       if (R.failed() || L >= NumLocs || Dst >= NumNodes)
         return Fail("edge " + std::to_string(J) + " of node " +
                     std::to_string(Src) + " out of bounds");
+      // A phi uses only its location, and the fixpoint gives it one
+      // input slot for it.
+      if (Dst >= NumPoints && L != Res.Graph.Phis[Dst - NumPoints].L.value())
+        return Fail("edge " + std::to_string(J) + " of node " +
+                    std::to_string(Src) + " does not carry its phi's location");
       Storage->add(Src, LocId(L), Dst);
     }
   }

@@ -28,8 +28,10 @@
 /// depSnapshotUsable refuses it and the consumer rebuilds the graph.
 ///
 /// The decoder follows the snapshot loader's discipline: every count and
-/// id is bounds-checked against \p Prog before use, trailing bytes are an
-/// error, and malformed input yields an error string — never UB.  The
+/// id is bounds-checked against \p Prog before use, an edge into a phi
+/// must carry the phi's location (the sparse fixpoint's slot layout
+/// relies on it), trailing bytes are an error, and malformed input yields
+/// an error string — never UB.  The
 /// section checksum upstream already caught random corruption, so what
 /// arrives here is either valid producer output or a crafted payload.
 ///

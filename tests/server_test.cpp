@@ -688,6 +688,24 @@ TEST(DepSnapshot, TruncatedAndOutOfRangePayloadsFailTyped) {
     }
   }
   EXPECT_GE(Failed, (Payload.size() - 8) / 4 - 6);
+
+  // An edge into a phi labelled with another location is a typed error:
+  // the fixpoint gives a phi one input slot, for its own location.  (The
+  // bypass contraction leaves this program no phi.)
+  AnalyzerOptions NoBypass = Opts;
+  NoBypass.Dep.Bypass = false;
+  AnalysisRun WithPhis = analyzeProgram(*Prog, NoBypass);
+  ASSERT_TRUE(WithPhis.Graph);
+  DepSnapshotResult Dec =
+      decodeDepGraph(*Prog, encodeDepGraph(*WithPhis.Graph, NoBypass.Dep));
+  ASSERT_TRUE(Dec.ok());
+  ASSERT_FALSE(Dec.Graph.Phis.empty());
+  LocId Other((Dec.Graph.Phis[0].L.value() + 1) % Prog->numLocs());
+  ASSERT_TRUE(Dec.Graph.Edges->add(0, Other, Dec.Graph.NumPoints));
+  DepSnapshotResult Mislabelled =
+      decodeDepGraph(*Prog, encodeDepGraph(Dec.Graph, NoBypass.Dep));
+  EXPECT_FALSE(Mislabelled.ok());
+  EXPECT_TRUE(Typed(Mislabelled)) << Mislabelled.Error;
 }
 
 TEST(DepSnapshot, V2SnapshotCarriesTheSectionAndV1StillLoads) {
