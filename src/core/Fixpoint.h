@@ -579,15 +579,6 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   using Val = typename Domain::Val;
   size_t N = Graph.numNodes();
   uint32_t NP = Graph.NumPoints;
-  SlotLayout Slots = layoutSlots(Graph);
-  SPA_OBS_GAUGE_SET("fixpoint.slots",
-                    Slots.In.Keys.size() + Slots.Out.Keys.size());
-  SlotValues<Val> InVals(Slots.In.Keys.size()),
-      OutVals(Slots.Out.Keys.size());
-  // Changing arrivals per in-slot on cycle-closing edges.
-  std::vector<uint32_t> Arrivals(Slots.In.Keys.size(), 0);
-  // Per point, the published defs no out-edge reads: only R.Out does.
-  std::vector<FlatMap<LocId, std::optional<Val>>> OutSide(NP);
   // One ledger row per graph node, written only by the shard that owns
   // the node, so counts are race-free and jobs-independent.
   obs::Ledger *Led = obs::LedgerEnabled ? Opts.Led : nullptr;
@@ -597,6 +588,21 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
   SparseSchedule Sched = computeSparseSchedule(Prog, CG, Graph);
   const std::vector<uint32_t> &Prio = Sched.Prio;
   const std::vector<bool> &WidenNode = Sched.WidenNode;
+  std::vector<std::vector<uint32_t>> Shards =
+      partitionNodes(Prog, Graph, Opts.Jobs, Opts.RestrictNodes);
+  SPA_OBS_GAUGE_SET("par.fix.shards", Shards.size());
+
+  // The slot layout is per-run fixpoint work: the clock covers it.
+  Timer Clock;
+  SlotLayout Slots = layoutSlots(Graph);
+  SPA_OBS_GAUGE_SET("fixpoint.slots",
+                    Slots.In.Keys.size() + Slots.Out.Keys.size());
+  SlotValues<Val> InVals(Slots.In.Keys.size()),
+      OutVals(Slots.Out.Keys.size());
+  // Changing arrivals per in-slot on cycle-closing edges.
+  std::vector<uint32_t> Arrivals(Slots.In.Keys.size(), 0);
+  // Per point, the published defs no out-edge reads: only R.Out does.
+  std::vector<FlatMap<LocId, std::optional<Val>>> OutSide(NP);
   // Pending locations per point (phis keep none); see the file comment.
   std::vector<std::vector<LocId>> PendingLocs(NP);
 
@@ -712,11 +718,6 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
     return L;
   };
 
-  std::vector<std::vector<uint32_t>> Shards =
-      partitionNodes(Prog, Graph, Opts.Jobs, Opts.RestrictNodes);
-  SPA_OBS_GAUGE_SET("par.fix.shards", Shards.size());
-
-  Timer Clock;
   std::vector<LoopResult> ShardResults(Shards.size());
   std::vector<std::vector<uint32_t>> ShardPending(Shards.size());
   if (Shards.size() == 1) {
