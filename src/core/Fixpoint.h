@@ -289,11 +289,7 @@ template <typename Domain, typename OverlayMap, typename WrittenFn,
 void walkSparseOutput(OverlayMap &Overlay, const std::vector<LocId> &Defs,
                       std::vector<LocId> &Pending, WrittenFn Written,
                       PassthroughFn Passthrough) {
-  // The written list becomes the new Pending; its buffer is a per-thread
-  // scratch that trades places with the old Pending, so a visit
-  // allocates nothing here.
-  thread_local std::vector<LocId> Wrote;
-  Wrote.clear();
+  std::vector<LocId> Wrote;
   auto O = Overlay.begin(), OE = Overlay.end();
   auto P = Pending.begin(), PE = Pending.end();
   auto D = Defs.begin(), DE = Defs.end();
@@ -316,7 +312,7 @@ void walkSparseOutput(OverlayMap &Overlay, const std::vector<LocId> &Defs,
     if (FromOverlay)
       ++O;
   }
-  Pending.swap(Wrote);
+  Pending = std::move(Wrote);
 }
 
 /// Union of AccessDefs and AccessUses per function, sorted (the Base

@@ -21,24 +21,18 @@ namespace {
 
 class IntervalDomain;
 
-const Value BottomValue;
-
 /// Mutable working state for a sparse node's transfer: reads fall back to
 /// the input slots; writes land in an overlay.  The node's new output is
 /// the overlay merged over the input, restricted to its def set.
 class WorkingState {
 public:
-  /// The overlay is a per-thread scratch map, emptied here, so a visit
-  /// allocates no map of its own.
-  explicit WorkingState(InputSlots<Value> In) : In(In), Overlay(scratch()) {
-    Overlay.clear();
-  }
+  explicit WorkingState(InputSlots<Value> In) : In(In) {}
 
   const Value &get(LocId L) const {
     if (const Value *V = Overlay.lookup(L))
       return *V;
     const Value *V = In.find(L);
-    return V ? *V : BottomValue;
+    return V ? *V : AbsState::Bottom;
   }
 
   void set(LocId L, Value V) { Overlay.set(L, std::move(V)); }
@@ -75,13 +69,8 @@ public:
   }
 
 private:
-  static FlatMap<LocId, Value> &scratch() {
-    thread_local FlatMap<LocId, Value> Map;
-    return Map;
-  }
-
   InputSlots<Value> In;
-  FlatMap<LocId, Value> &Overlay;
+  FlatMap<LocId, Value> Overlay;
 };
 
 /// The interval domain adapter (interface in core/Fixpoint.h).

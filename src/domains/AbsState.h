@@ -179,6 +179,9 @@ public:
 
   std::string str() const;
 
+  /// The value of every unbound location.
+  static const Value Bottom;
+
 private:
   /// Read-only view (the shared empty map when unallocated).
   const Map &ro() const { return Entries ? *Entries : EmptyMap; }
@@ -197,7 +200,6 @@ private:
 
   std::shared_ptr<Map> Entries;
   static const Map EmptyMap;
-  static const Value Bottom;
 };
 
 } // namespace spa
