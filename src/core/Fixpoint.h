@@ -79,25 +79,29 @@
 /// re-extraction.  Phis publish their one location and keep nothing.
 ///
 /// Slot buffers: a value crosses one dependency edge into a buffer that
-/// holds only what its edges can carry, so during the loop each node
-/// keeps flat value slots instead of state maps.  layoutSlots lays them
-/// out once per run from the graph's edges: a point gets one input slot
-/// per distinct label of its in-edges and one output slot per distinct
-/// label of its out-edges; a phi, which defines and uses exactly its
-/// location, gets one of each.  A slot is an empty std::optional until a
-/// value arrives (an absent octagon pack reads ⊤, a present ⊥ does not,
-/// so there is no bottom placeholder).  A delivery, its arrival count and
-/// a publish write their slot in place, found by a search over the
+/// holds only what its edges can carry, so during the loop each node keeps
+/// flat value slots instead of state maps.  layoutSlots lays them out once
+/// per run from the graph's edges: a point gets one input slot per distinct
+/// label of its in-edges and one output slot per distinct label of its
+/// out-edges; a phi, which defines and uses exactly its location, gets one
+/// of each (every edge into a phi carries its location; decodeDepGraph
+/// refuses a graph where one does not).  A slot is an empty std::optional
+/// until a value arrives (an absent octagon pack reads ⊤, a present ⊥ does
+/// not, so there is no bottom placeholder).  A delivery, its arrival count
+/// and a publish write their slot in place, found by a search over the
 /// node's sorted location keys; the transfer reads its input through the
 /// slots (InputSlots) and emits its output straight into them.  Defs
-/// published with no out-edge feed nothing, so they go to a per-point
-/// side map that only the final Out reads.  Every delivery writes along
-/// an in-edge and every publish lies in D̂(c), so the slots hold exactly
-/// what the state maps held (SparseAnalysis.StatesStayWithinInEdgeLabels-
-/// AndDefs pins that).  After the loop and before degradation the slots
-/// become R.In/R.Out, in key order, each block of slots freed as its
-/// values move out, so results keep their shape and the values never
-/// exist twice.  Shards own disjoint nodes, hence disjoint slots.
+/// published with no out-edge feed nothing, so they go to a per-point side
+/// map that only the final Out reads; out-slots keyed on D̂(c) instead
+/// would sit mostly empty on bypass-contracted graphs, whose def sets keep
+/// the locations the contraction routed around (8x the slots on
+/// paperSuite).  Every delivery writes along an in-edge and every publish
+/// lies in D̂(c), so the slots hold exactly what the state maps held
+/// (SparseAnalysis.StatesStayWithinInEdgeLabelsAndDefs pins that).  After
+/// the loop and before degradation the slots become R.In/R.Out, in key
+/// order, each block of slots freed as its values move out, so results keep
+/// their shape and the values never exist twice.  Shards own disjoint
+/// nodes, hence disjoint slots.
 ///
 //===----------------------------------------------------------------------===//
 
