@@ -69,7 +69,6 @@ int main() {
   // Static analysis + checking.
   AnalyzerOptions Opts;
   Opts.Engine = EngineKind::Sparse;
-  Opts.Dep.Bypass = false; // The checker reads the input buffers.
   AnalysisRun Run = analyzeProgram(Prog, Opts);
   CheckerSummary Summary = checkBufferOverruns(Prog, Run);
 

@@ -145,10 +145,6 @@ CheckerSummary spa::checkBufferOverruns(const Program &Prog,
 CheckerSummary spa::analyzeAndCheck(const Program &Prog) {
   AnalyzerOptions Opts;
   Opts.Engine = EngineKind::Sparse;
-  // The bypass-off graph, as `spa-analyze --check` uses: the contraction
-  // keeps the pointer operands the checker reads, but the two graphs
-  // widen block sizes differently, so verdicts could differ (Checker.h).
-  Opts.Dep.Bypass = false;
   AnalysisRun Run = analyzeProgram(Prog, Opts);
   return checkBufferOverruns(Prog, Run);
 }
@@ -263,10 +259,8 @@ std::string AlarmProvenance::str(const Program &Prog,
       OS << " [degraded]";
     OS << "\n";
   }
-  OS << "degraded-tier value on slice: " << (TouchesDegraded ? "yes" : "no");
-  if (IntervalFallback)
-    OS << "; interval fallback (octagon run degraded)";
-  OS << "\n";
+  OS << "degraded-tier value on slice: " << (TouchesDegraded ? "yes" : "no")
+     << "\n";
   return OS.str();
 }
 
@@ -300,8 +294,9 @@ spa::provenanceJsonArray(const Program &Prog, const AnalysisRun &Run,
     Out += "      \"edges_walked\": " + std::to_string(AP.EdgesWalked) + ",\n";
     Out += std::string("      \"touches_degraded\": ") +
            (AP.TouchesDegraded ? "true" : "false") + ",\n";
-    Out += std::string("      \"interval_fallback\": ") +
-           (AP.IntervalFallback ? "true" : "false") + ",\n";
+    // A constant since slices come from interval runs only; kept so the
+    // ledger's keys stay those of spa-ledger-v1.
+    Out += "      \"interval_fallback\": false,\n";
     Out += "      \"slice\": [";
     for (size_t J = 0; J < AP.Slice.size(); ++J) {
       const ProvenanceEntry &E = AP.Slice[J];

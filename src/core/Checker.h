@@ -50,12 +50,12 @@ struct CheckerSummary {
 };
 
 /// Checks every dereference in \p Prog against the states of \p Run, a
-/// Sparse run.  `spa-analyze --check` and the facade below check on the
-/// bypass-off graph.  spa-serve checks on its bypass-on run: the checker
-/// reads pointer operands only at points that use them, which the
-/// contraction keeps, so those verdicts are sound too, but they can
-/// differ from the bypass-off ones either way, because the two graphs
-/// widen block-size bounds differently (docs/SERVER.md).
+/// Sparse run.  `spa-analyze --check`, the facade below, batches, shard
+/// workers and spa-serve all check on the default, bypass-contracted
+/// graph: the checker reads a pointer only at points that use it, which
+/// the contraction keeps, and the sparse widening bounds block sizes by
+/// T̂pre, so both graphs reach the same verdicts (DESIGN.md §5 "Bounded
+/// widening") and served verdicts equal cold ones.
 CheckerSummary checkBufferOverruns(const Program &Prog,
                                    const AnalysisRun &Run);
 
@@ -87,9 +87,6 @@ struct AlarmProvenance {
   bool Truncated = false;             ///< A bound or the budget cut it short.
   uint64_t EdgesWalked = 0;
   bool TouchesDegraded = false; ///< Any slice node holds a degraded value.
-  /// The producing octagon run degraded and the checker consumed its
-  /// interval fallback (set by the oct driver, not the walk).
-  bool IntervalFallback = false;
 
   /// Multi-line text for spa-analyze --explain-alarm.
   std::string str(const Program &Prog, const AnalysisRun &Run) const;

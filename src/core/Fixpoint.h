@@ -34,7 +34,8 @@
 ///   static constexpr uint64_t JournalBase;  DegradeTier engine id - 1
 ///   static LocId locOf(Key); static Key keyOf(LocId);
 ///   bool merge(State &Post, const State &Out, MergeOp);  changed?
-///   Val extrapolate(const Val &Old, const Val &V, MergeOp);  Widen/Cut
+///   Val extrapolate(LocId, const Val &Old, const Val &V, MergeOp);
+///                 sparse Widen/Cut of the slot for LocId
 ///   uint32_t cutAfter();           changes before MergeOp::Cut applies
 ///   uint64_t growth(const Val *Old, const Val &New);  ledger units
 ///   void transfer(PointId, State &);               dense, in place
@@ -692,7 +693,7 @@ void runSparseFixpoint(const Program &Prog, const CallGraphInfo &CG,
             countMerge(Op, Dst, Extrapolations, Led);
             Val New = !Old                  ? V
                       : Op == MergeOp::Join ? Old->join(V)
-                                            : D.extrapolate(*Old, V, Op);
+                                            : D.extrapolate(Loc, *Old, V, Op);
             // Extrapolation cost during delivery belongs to the receiver.
             Cost.charge(Led, Dst, /*JournalBurst=*/false);
             if (Old && New == *Old)

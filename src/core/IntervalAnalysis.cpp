@@ -97,8 +97,16 @@ public:
   }
   /// Interval widening terminates on its own: no hard cut.
   static uint32_t cutAfter() { return UINT32_MAX; }
-  static Value extrapolate(const Value &Old, const Value &V, MergeOp) {
-    return Old.widen(Old.join(V));
+  /// Sparse widening of \p L's slot.  The widened block size is met with
+  /// T̂pre's at \p L, which over-approximates every reachable size
+  /// (Section 3.2), so the meet is sound and both dependency graphs end
+  /// at the same bound (DESIGN.md §5 "Bounded widening").
+  Value extrapolate(LocId L, const Value &Old, const Value &V,
+                    MergeOp) const {
+    Value W = Old.widen(Old.join(V));
+    if (DegradeTo)
+      W.Size = W.Size.meet(DegradeTo->get(L).Size);
+    return W;
   }
 
   /// Ledger growth units of a value step Old -> New: clamped-positive set
@@ -144,17 +152,17 @@ public:
 
 private:
   const AbsState &fallback() {
-    if (!DegradeTo) {
+    if (DegradeTo)
+      return *DegradeTo;
+    if (!Top)
       Top = topAbsState(Prog);
-      DegradeTo = &*Top;
-    }
-    return *DegradeTo;
+    return *Top;
   }
 
   const Program &Prog;
   const CallGraphInfo &CG;
   const SemanticsOptions &Sem;
-  const AbsState *DegradeTo;
+  const AbsState *const DegradeTo;
   std::optional<AbsState> Top;
 };
 

@@ -63,7 +63,8 @@ struct SparseOptions {
   Budget *Bud = nullptr;
   /// Sound degradation fallback: nodes forward-reachable from pending
   /// worklist entries join this state restricted to their def/use sets
-  /// (normally T̂pre; null = all-⊤).
+  /// (normally T̂pre; null = all-⊤).  It also bounds the widened block
+  /// sizes of the interval domain (null = unbounded).
   const AbsState *DegradeTo = nullptr;
   /// Per-node cost ledger (docs/OBSERVABILITY.md "Ledger").  The engine
   /// resizes it to the node count and fills count rows deterministically

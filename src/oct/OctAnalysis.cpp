@@ -494,7 +494,8 @@ public:
     });
   }
   uint32_t cutAfter() const { return HardLimit; }
-  OctVal extrapolate(const OctVal &Old, const OctVal &V, MergeOp Op) const {
+  OctVal extrapolate(LocId, const OctVal &Old, const OctVal &V,
+                     MergeOp Op) const {
     if (Op == MergeOp::Cut) {
       SPA_OBS_COUNT("oct.hard_tops", 1);
       return Oct::top(Old.numVars());

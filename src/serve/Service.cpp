@@ -349,14 +349,12 @@ Service::Service(ServiceOptions O) : Opts(std::move(O)) {
   // without it every local threads through _start's entry node and the
   // whole program is one component.  So the server analyzes exactly the
   // way a default `spa-analyze` run does (bypass on), and checks on that
-  // run.  The checker stays sound on the contracted buffers because it
-  // reads pointer operands only at points that genuinely *use* them,
-  // which bypassing preserves; its verdicts are not always those of
-  // `spa-analyze --check`, which checks on the bypass-off graph, because
-  // the two graphs widen block-size bounds differently (docs/SERVER.md;
-  // tests/server_test.cpp pins the served verdicts against the
-  // interpreter).  Keeping the options fixed also makes cache entries
-  // independent of the per-request check flag.
+  // run, as `spa-analyze --check` does: the checker reads pointer
+  // operands only at points that use them, which the contraction keeps,
+  // and the widening is bounded by T̂pre, so served verdicts equal cold
+  // ones (docs/SERVER.md; tests/server_test.cpp pins both).  Keeping the
+  // options fixed also makes cache entries independent of the
+  // per-request check flag.
   Opts.Analyzer.Engine = EngineKind::Sparse;
   StartMicros = obs::obsNowMicros();
   LastTelemetryMicros = StartMicros;

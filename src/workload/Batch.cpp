@@ -182,9 +182,7 @@ BatchResult spa::runBatch(const std::vector<BatchItem> &Items,
   BatchResult Result;
   Result.Items.resize(Items.size());
 
-  AnalyzerOptions AOpts = Opts.Analyzer;
-  if (Opts.Check)
-    AOpts.Dep.Bypass = false; // Checks on --check's graph (Checker.h).
+  const AnalyzerOptions &AOpts = Opts.Analyzer;
   AnalyzerOptions Lower = lowerTierOptions(AOpts);
   unsigned Jobs = AOpts.Jobs ? AOpts.Jobs : ThreadPool::defaultJobs();
 

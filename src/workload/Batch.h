@@ -104,8 +104,8 @@ struct BatchItemResult {
 
 struct BatchOptions {
   AnalyzerOptions Analyzer;
-  /// Also run the buffer-overrun checker per program, on the bypass-off
-  /// graph `spa-analyze --check` uses, so verdicts match it (Checker.h).
+  /// Also run the buffer-overrun checker per program, on the analyzer's
+  /// own (by default contracted) graph, as `spa-analyze --check` does.
   bool Check = false;
   /// Hard wall-clock kill limit per item in a shard worker, in seconds.
   /// 0 derives 4 * Budget.DeadlineSec + 1 when the deadline is set (a

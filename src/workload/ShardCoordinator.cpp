@@ -241,9 +241,7 @@ ShardRunResult spa::runSharded(const std::vector<BatchItem> &Items,
   if (Items.empty())
     return Result;
 
-  AnalyzerOptions AOpts = Opts.Batch.Analyzer;
-  if (Opts.Batch.Check)
-    AOpts.Dep.Bypass = false; // Checks on --check's graph (Checker.h).
+  const AnalyzerOptions &AOpts = Opts.Batch.Analyzer;
   unsigned NumWorkers = std::max(1u, Opts.Shards);
   NumWorkers = std::min<unsigned>(NumWorkers, Items.size());
   Timer Clock;

@@ -169,6 +169,43 @@ for args in "--engine=base --check $EXAMPLES/loop.spa" \
   fi
 done
 
+# It reads interval block sizes, which an octagon run has none of: the
+# octagon domain with either spelling is a usage error naming the
+# interval domain.
+for args in "--domain=octagon --check $EXAMPLES/pointers.spa" \
+  "--domain=octagon --explain-alarm=0 $EXAMPLES/pointers.spa"; do
+  "$ANALYZE" $args > "$WORK/oct-check.txt" 2>&1
+  rc=$?
+  if [ $rc -ne 1 ] || ! grep -q "domain=interval" "$WORK/oct-check.txt"; then
+    echo "FAIL: spa-analyze $args exited $rc, want 1 naming --domain=interval"
+    cat "$WORK/oct-check.txt"
+    exit 1
+  fi
+done
+
+# An alarm id is a non-negative decimal number and nothing else.
+for id in abc -1 1x; do
+  "$ANALYZE" --explain-alarm="$id" "$EXAMPLES/pointers.spa" \
+    > "$WORK/bad-id.txt" 2>&1
+  rc=$?
+  if [ $rc -ne 1 ]; then
+    echo "FAIL: --explain-alarm=$id exited $rc, want 1"
+    cat "$WORK/bad-id.txt"
+    exit 1
+  fi
+done
+
+# --check runs on the bypass-contracted graph (only --list and
+# --no-bypass keep the full one): the contraction must remove edges.
+"$ANALYZE" --check --metrics-out="$WORK/check.json" \
+  "$EXAMPLES/pointers.spa" > /dev/null || exit 1
+python3 - "$WORK/check.json" <<'EOF' || exit 1
+import json, sys
+m = json.load(open(sys.argv[1]))
+assert m["depgraph.bypass_removed"] > 0, \
+    "--check built the uncontracted dependency graph"
+EOF
+
 # Table 2 must append one JSON record per (benchmark, engine) cell.
 SPA_SCALE=0.02 SPA_TIME_LIMIT=10 SPA_BENCH_JSON="$WORK/records.jsonl" \
   "$TABLE2" > /dev/null || exit 1

@@ -23,7 +23,7 @@ if ! "$ANALYZE" --stats "$EXAMPLES/loop.spa" | grep -q '='; then
 fi
 
 # The histogram-bearing run: octagon packing observes pack sizes.
-"$ANALYZE" --domain=octagon --check --prom-out="$WORK/m.prom" \
+"$ANALYZE" --domain=octagon --prom-out="$WORK/m.prom" \
   "$EXAMPLES/pointers.spa" > /dev/null || {
   echo "FAIL: --prom-out run failed"
   exit 1

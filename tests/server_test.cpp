@@ -22,14 +22,12 @@
 ///    depSnapshotUsable options gate (an older payload version is
 ///    refused and rebuilt), and the PrebuiltGraph warm start.
 ///
-/// Also pins the checker on the graph the Service analyzes: the Service
-/// keeps bypass ON (dependency partitions only separate under it) while
-/// `spa-analyze --check` checks on the bypass-off graph.  Their verdicts
-/// agree on some programs (pinned below) but not on all: the two graphs
-/// widen block-size bounds differently, so either side can raise an
-/// alarm the other proves safe (docs/SERVER.md).  What holds for every
-/// program is soundness: served verdicts flag every overrun the
-/// interpreter reaches.
+/// Also pins the checker on the graph the Service analyzes: the Service,
+/// like `spa-analyze --check`, keeps bypass ON (dependency partitions
+/// only separate under it).  With the widening bounded by T̂pre the
+/// contracted and the full graph reach the same verdicts, served
+/// verdicts equal cold ones, and they flag every overrun the interpreter
+/// reaches (docs/SERVER.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -444,20 +442,32 @@ TEST(ServeService, StatsTelemetryAndPromDocuments) {
 // The bypass-invariance fact the Service's check path rests on
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A pointer-heavy generator program (3 functions, 4 pointer locals, 35%
+/// pointer operations, 15% allocations).
+std::string pointerHeavySource(uint32_t Seed) {
+  GenConfig C;
+  C.Seed = Seed;
+  C.NumFunctions = 3;
+  C.PointerLocals = 4;
+  C.PointerPercent = 35;
+  C.AllocPercent = 15;
+  return generateSource(C);
+}
+
+} // namespace
+
 TEST(ServeService, CheckerVerdictsUnaffectedByBypassContraction) {
-  // Pointer-heavy generator shapes plus the distilled alarm program on
-  // which the bypass-on and bypass-off verdicts agree exactly.  They do
-  // not agree on every program: see the soundness pin below.
+  // Pointer-heavy generator shapes plus the distilled alarm program: the
+  // bypass-on and bypass-off checks print the same lines.  On seeds 11,
+  // 17, 96, 197 and 262 an unbounded widening gave the two graphs
+  // different verdicts.  Bounded by T̂pre they agree on every verdict,
+  // but not on every printed size (gen197 keeps a `size [1, 8]` against
+  // `[1, 6]`, safe on both), so those compare verdicts only.
   std::vector<std::string> Sources;
-  for (uint32_t Seed : {21u, 22u, 23u, 99u}) {
-    GenConfig C;
-    C.Seed = Seed;
-    C.NumFunctions = 3;
-    C.PointerLocals = 4;
-    C.PointerPercent = 35;
-    C.AllocPercent = 15;
-    Sources.push_back(generateSource(C));
-  }
+  for (uint32_t Seed : {21u, 22u, 23u, 99u})
+    Sources.push_back(pointerHeavySource(Seed));
   Sources.push_back("fun main() {\n"
                     "  buf = alloc(4);\n"
                     "  i = input();\n"
@@ -467,6 +477,9 @@ TEST(ServeService, CheckerVerdictsUnaffectedByBypassContraction) {
                     "  x = *q;\n"
                     "  return x;\n"
                     "}\n");
+  const size_t SameText = Sources.size();
+  for (uint32_t Seed : {11u, 17u, 96u, 197u, 262u})
+    Sources.push_back(pointerHeavySource(Seed));
 
   size_t TotalChecks = 0;
   for (size_t I = 0; I < Sources.size(); ++I) {
@@ -480,33 +493,33 @@ TEST(ServeService, CheckerVerdictsUnaffectedByBypassContraction) {
     CheckerSummary SB = checkBufferOverruns(*Prog, RunB);
     CheckerSummary SF = checkBufferOverruns(*Prog, RunF);
     ASSERT_EQ(SB.Checks.size(), SF.Checks.size()) << "source " << I;
-    for (size_t J = 0; J < SB.Checks.size(); ++J)
-      EXPECT_EQ(SB.Checks[J].str(*Prog), SF.Checks[J].str(*Prog))
-          << "source " << I << " check " << J;
+    for (size_t J = 0; J < SB.Checks.size(); ++J) {
+      if (I < SameText) {
+        EXPECT_EQ(SB.Checks[J].str(*Prog), SF.Checks[J].str(*Prog))
+            << "source " << I << " check " << J;
+        continue;
+      }
+      EXPECT_EQ(SB.Checks[J].P, SF.Checks[J].P) << "source " << I;
+      EXPECT_TRUE(SB.Checks[J].Result == SF.Checks[J].Result)
+          << "source " << I << ": " << SB.Checks[J].str(*Prog) << " vs "
+          << SF.Checks[J].str(*Prog);
+    }
     TotalChecks += SB.Checks.size();
   }
   EXPECT_GT(TotalChecks, 0u); // The comparison must not be vacuous.
 }
 
 TEST(ServeService, ServedVerdictsFlagEveryOverrunTheInterpreterReaches) {
-  // Served verdicts come from the bypass-on graph and can differ from
-  // `spa-analyze --check` both ways: on seeds 11 and 17 the service
-  // raises 10 and 5 alarms `--check` proves safe, on seed 96 `--check`
-  // raises 2 the service proves safe (widened block-size lower bounds).
-  // Neither side is unsound; this pins that for the served side.  The
-  // interpreter reaches no overrun on the generated programs, so two
-  // hand-written ones (the distilled alarm and an interprocedural
-  // off-by-two) keep the check from being vacuous.
+  // Served verdicts come from the bypass-on graph, as a cold
+  // analyzeAndCheck's do, and equal them: the counts and the alarm
+  // lines.  Seeds 11, 17 and 96 are programs on which an unbounded
+  // widening made the two graphs disagree.  The interpreter reaches no
+  // overrun on the generated programs, so two hand-written ones (the
+  // distilled alarm and an interprocedural off-by-two) keep the
+  // soundness check from being vacuous.
   std::vector<std::string> Sources;
-  for (uint32_t Seed : {11u, 17u, 96u, 21u, 22u, 23u, 99u}) {
-    GenConfig C;
-    C.Seed = Seed;
-    C.NumFunctions = 3;
-    C.PointerLocals = 4;
-    C.PointerPercent = 35;
-    C.AllocPercent = 15;
-    Sources.push_back(generateSource(C));
-  }
+  for (uint32_t Seed : {11u, 17u, 96u, 21u, 22u, 23u, 99u})
+    Sources.push_back(pointerHeavySource(Seed));
   Sources.push_back("fun main() {\n"
                     "  buf = alloc(4);\n"
                     "  i = input();\n"
@@ -536,6 +549,14 @@ TEST(ServeService, ServedVerdictsFlagEveryOverrunTheInterpreterReaches) {
   for (size_t I = 0; I < Sources.size(); ++I) {
     AnalyzeResponse Resp = mustAnalyze(Svc, Sources[I], ReqFlagCheck);
     std::unique_ptr<Program> Prog = test::build(Sources[I]);
+    CheckerSummary Cold = analyzeAndCheck(*Prog);
+    std::string ColdAlarms;
+    for (const AccessCheck &C : Cold.Checks)
+      if (C.Result != AccessCheck::Verdict::Safe)
+        ColdAlarms += "  " + C.str(*Prog) + "\n";
+    EXPECT_EQ(Resp.Checks, Cold.Checks.size()) << "source " << I;
+    EXPECT_EQ(Resp.Alarms, Cold.numAlarms()) << "source " << I;
+    EXPECT_EQ(Resp.AlarmsText, ColdAlarms) << "source " << I;
     PreAnalysisResult Pre = runPreAnalysis(*Prog, SemanticsOptions());
     for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
       InterpOptions IOpts;

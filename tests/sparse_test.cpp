@@ -562,3 +562,54 @@ TEST(SparseAnalysis, StatesStayWithinInEdgeLabelsAndDefs) {
           [](PackId P) { return LocId(P.value()); });
   }
 }
+
+TEST(SparseAnalysis, BlockSizesStayWithinThePreAnalysis) {
+  // The sparse widening meets a widened block size with T̂pre's at the
+  // slot's location (DESIGN.md §5 "Bounded widening").  T̂pre
+  // over-approximates every reachable value (Section 3.2), so every In
+  // and Out size lies within T̂pre's, on both graphs.  An unbounded
+  // widening overshoots it on these programs: the generator seeds whose
+  // states the bound moves, and nethack.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (uint32_t Seed :
+       {2u, 11u, 17u, 35u, 62u, 65u, 96u, 137u, 197u, 262u, 266u, 282u}) {
+    GenConfig C;
+    C.Seed = Seed;
+    C.NumFunctions = 3;
+    C.PointerLocals = 4;
+    C.PointerPercent = 35;
+    C.AllocPercent = 15;
+    Programs.emplace_back("gen" + std::to_string(Seed), generateSource(C));
+  }
+  for (const SuiteEntry &E : paperSuite(0.02))
+    if (E.Name == "nethack-3.3.0")
+      Programs.emplace_back(E.Name, generateSource(E.Config));
+  ASSERT_EQ(Programs.size(), 13u);
+
+  for (const auto &[Name, Source] : Programs) {
+    auto Prog = build(Source);
+    for (bool Bypass : {true, false}) {
+      AnalyzerOptions Opts;
+      Opts.Dep.Bypass = Bypass;
+      AnalysisRun Run = analyzeProgram(*Prog, Opts);
+      ASSERT_FALSE(Run.degraded()) << Name;
+      const AbsState &Pre = Run.Pre.Global;
+      uint64_t Sizes = 0;
+      auto Within = [&](const AbsState &S, uint32_t Node, const char *Side) {
+        for (const auto &[L, V] : S) {
+          Sizes += !V.Size.isBot();
+          EXPECT_TRUE(V.Size.leq(Pre.get(L).Size))
+              << Name << " bypass " << Bypass << " node " << Node << " "
+              << Side << " " << Prog->loc(L).Name << ": size "
+              << V.Size.str() << " exceeds T̂pre's "
+              << Pre.get(L).Size.str();
+        }
+      };
+      for (uint32_t N = 0; N < Run.Graph->numNodes(); ++N) {
+        Within(Run.Sparse->In[N], N, "In");
+        Within(Run.Sparse->Out[N], N, "Out");
+      }
+      EXPECT_GT(Sizes, 0u) << Name; // Not vacuous: pointers flowed.
+    }
+  }
+}

@@ -107,6 +107,8 @@
 #include "workload/ShardCoordinator.h"
 #include "workload/Suite.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -281,8 +283,18 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (const char *V = Value("--watchdog=")) {
       Opts.WatchdogMs = static_cast<uint32_t>(std::strtoul(V, nullptr, 10));
     } else if (const char *V = Value("--explain-alarm=")) {
-      Opts.ExplainAlarm = std::strtol(V, nullptr, 10);
-      Opts.Check = true; // The walk needs the checker's no-bypass run.
+      // Digits only: a bare strtol reads "abc" as alarm 0 and "-1" as
+      // "no alarm to explain".
+      char *End = nullptr;
+      errno = 0;
+      Opts.ExplainAlarm = std::strtol(V, &End, 10);
+      if (!std::isdigit(static_cast<unsigned char>(*V)) || *End ||
+          errno == ERANGE) {
+        std::fprintf(stderr, "error: --explain-alarm needs an alarm "
+                             "number, got '%s'\n", V);
+        return false;
+      }
+      Opts.Check = true; // The walk explains an alarm of the checked run.
     } else if (const char *V = Value("--snapshot-out=")) {
       Opts.SnapshotOut = V;
     } else if (const char *V = Value("--snapshot-in=")) {
@@ -565,55 +577,15 @@ int runOctagonMode(const Program &Prog, const CliOptions &Cli) {
     return Prog.pointToString(G ? G->anchor(Node) : PointId(Node));
   };
 
-  // Alarm provenance in octagon mode comes from the degradation ladder's
-  // interval fallback (the only checker-consumable result an octagon run
-  // carries); its slices are tagged interval_fallback.
-  std::optional<CheckerSummary> Summary;
-  std::vector<AlarmProvenance> Slices;
-  std::string ProvJson;
-  if ((Cli.Check || Cli.ExplainAlarm >= 0) && Run.Fallback) {
-    Summary.emplace(checkBufferOverruns(Prog, *Run.Fallback));
-    WalkBudget WB(Cli.Budget);
-    Slices = collectAlarmProvenance(Prog, *Run.Fallback, *Summary, WB.Query);
-    for (AlarmProvenance &AP : Slices)
-      AP.IntervalFallback = true;
-    ProvJson = provenanceJsonArray(Prog, *Run.Fallback, Slices);
-  }
-
   obs::Ledger EmptyLedger;
   const obs::Ledger &Led = Run.Ledger ? *Run.Ledger : EmptyLedger;
   std::string LedgerJson;
   if (!Cli.LedgerOut.empty())
-    LedgerJson = Led.toJson(/*HotspotK=*/10, Label, ProvJson);
+    LedgerJson = Led.toJson(/*HotspotK=*/10, Label);
   if (int Rc = emitObservability(Cli, LedgerJson,
                                  Cli.Stats ? Led.hotspotText(10, Label)
                                            : std::string()))
     return Rc;
-
-  if (Summary) {
-    std::printf("checked %zu dereferences (interval fallback): %u safe, "
-                "%u alarms\n",
-                Summary->Checks.size(), Summary->numSafe(),
-                Summary->numAlarms());
-    for (const AccessCheck &C : Summary->Checks)
-      if (C.Result != AccessCheck::Verdict::Safe)
-        std::printf("  %s\n", C.str(Prog).c_str());
-  }
-  if (Cli.ExplainAlarm >= 0) {
-    size_t Id = static_cast<size_t>(Cli.ExplainAlarm);
-    if (!Run.Fallback) {
-      std::fprintf(stderr,
-                   "error: --explain-alarm with --domain=octagon needs the "
-                   "degraded run's interval fallback (none present)\n");
-      return 1;
-    }
-    if (Id >= Slices.size()) {
-      std::fprintf(stderr, "error: no alarm #%zu (%zu alarms)\n", Id,
-                   Slices.size());
-      return 1;
-    }
-    std::fputs(Slices[Id].str(Prog, *Run.Fallback).c_str(), stdout);
-  }
 
   // Per-function exit intervals via singleton-pack projection.
   for (uint32_t F = 0; F < Prog.numFuncs(); ++F) {
@@ -782,6 +754,12 @@ int main(int Argc, char **Argv) {
                          "--engine=sparse\n");
     return 1;
   }
+  // It reads interval values: an octagon run has no block sizes.
+  if (Cli.Check && Cli.Octagon) {
+    std::fprintf(stderr, "error: --check and --explain-alarm need "
+                         "--domain=interval\n");
+    return 1;
+  }
 
   if (!Cli.BatchFile.empty() || Cli.BatchSuite)
     return runBatchMode(Cli); // Forensics install per item in workers.
@@ -845,8 +823,8 @@ int main(int Argc, char **Argv) {
   Opts.Engine = Cli.Engine;
   Opts.Pre = Cli.Pre;
   Opts.Dep = Cli.Dep;
-  if (Cli.Check || Cli.List)
-    Opts.Dep.Bypass = false; // Checker and listing read input buffers.
+  if (Cli.List)
+    Opts.Dep.Bypass = false; // The listing prints every input buffer.
   Opts.Budget = Cli.Budget;
   Opts.Jobs = Cli.Jobs;
   // Warm start from the snapshot's embedded depgraph when the recorded
