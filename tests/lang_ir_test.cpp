@@ -137,9 +137,7 @@ TEST(Parser, NestingAtTheCapStillAnalyzes) {
   for (const std::string &Src :
        {deepParens(1024), deepIfs(1024), longChain(1024)}) {
     std::unique_ptr<Program> Prog = build(Src);
-    AnalyzerOptions Opts;
-    Opts.Dep.Bypass = false; // The checker reads input buffers.
-    AnalysisRun Run = analyzeProgram(*Prog, Opts);
+    AnalysisRun Run = analyzeProgram(*Prog, AnalyzerOptions());
     EXPECT_FALSE(Run.timedOut());
     checkBufferOverruns(*Prog, Run);
   }

@@ -74,7 +74,7 @@ struct RunDigest {
 RunDigest digestRun(const Program &Prog, unsigned Jobs) {
   AnalyzerOptions Opts;
   Opts.Jobs = Jobs;
-  Opts.Dep.Bypass = false; // Checker and listing read input buffers.
+  Opts.Dep.Bypass = false; // The listing prints every input buffer.
   AnalysisRun Run = analyzeProgram(Prog, Opts);
 
   RunDigest D;

@@ -16,6 +16,7 @@
 ///   --no-bypass                    disable the bypass contraction
 ///   --bdd                          store dependencies in a BDD
 ///   --check                        run the buffer-overrun checker
+///                                  (sparse engine, interval domain)
 ///   --list                         annotated listing (per-point values)
 ///   --dump-cfg                     supergraph in Graphviz dot
 ///   --dump-deps                    dependency graph in Graphviz dot
