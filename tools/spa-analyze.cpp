@@ -748,17 +748,12 @@ int main(int Argc, char **Argv) {
   if (!Cli.Connect.empty())
     return runConnectMode(Cli);
 
-  // The checker reads the sparse engine's input buffers; the dense
-  // engines keep none.  (A served check always runs sparse.)
-  if (Cli.Check && Cli.Engine != EngineKind::Sparse) {
+  // The checker reads the input buffers of a sparse interval run: the
+  // dense engines keep none, and octagons carry no block sizes.  (A
+  // served check always runs sparse interval.)
+  if (Cli.Check && (Cli.Engine != EngineKind::Sparse || Cli.Octagon)) {
     std::fprintf(stderr, "error: --check and --explain-alarm need "
-                         "--engine=sparse\n");
-    return 1;
-  }
-  // It reads interval values: an octagon run has no block sizes.
-  if (Cli.Check && Cli.Octagon) {
-    std::fprintf(stderr, "error: --check and --explain-alarm need "
-                         "--domain=interval\n");
+                         "--engine=sparse and --domain=interval\n");
     return 1;
   }
 
