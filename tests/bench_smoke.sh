@@ -169,9 +169,9 @@ for args in "--engine=base --check $EXAMPLES/loop.spa" \
   fi
 done
 
-# It reads interval block sizes, which an octagon run has none of: the
-# octagon domain with either spelling is a usage error naming the
-# interval domain.
+# It reads interval block sizes, which an octagon run has none of, so
+# the octagon domain with either spelling is a usage error too, naming
+# the interval domain.
 for args in "--domain=octagon --check $EXAMPLES/pointers.spa" \
   "--domain=octagon --explain-alarm=0 $EXAMPLES/pointers.spa"; do
   "$ANALYZE" $args > "$WORK/oct-check.txt" 2>&1
