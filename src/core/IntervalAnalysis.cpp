@@ -99,8 +99,9 @@ public:
   static uint32_t cutAfter() { return UINT32_MAX; }
   /// Sparse widening of \p L's slot.  The widened block size is met with
   /// T̂pre's at \p L, which over-approximates every reachable size
-  /// (Section 3.2), so the meet is sound and both dependency graphs end
-  /// at the same bound (DESIGN.md §5 "Bounded widening").
+  /// (Section 3.2), so the meet is sound, and a size widened on either
+  /// dependency graph stops at the same bound (DESIGN.md §5 "Bounded
+  /// widening").
   Value extrapolate(LocId L, const Value &Old, const Value &V,
                     MergeOp) const {
     Value W = Old.widen(Old.join(V));
