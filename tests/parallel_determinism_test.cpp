@@ -78,10 +78,10 @@ struct RunDigest {
   std::vector<uint64_t> LedgerRows;
 };
 
-/// Analyzes \p Prog at \p Jobs lanes.  With \p Bypass off (what the
-/// checker runs) the listing and alarms are part of the digest; with it
-/// on (the default configuration) they are not, because both read input
-/// buffers, which the contraction leaves partial.
+/// Analyzes \p Prog at \p Jobs lanes.  The checker's lines are part of
+/// the digest on both graphs (it checks on the contracted one by
+/// default); the listing only with \p Bypass off, because it prints
+/// every input buffer, which the contraction leaves partial.
 RunDigest digestRun(const Program &Prog, unsigned Jobs, bool Bypass) {
   obs::Registry::global().reset();
   AnalyzerOptions Opts;
@@ -90,12 +90,11 @@ RunDigest digestRun(const Program &Prog, unsigned Jobs, bool Bypass) {
   AnalysisRun Run = analyzeProgram(Prog, Opts);
 
   RunDigest D;
-  if (!Bypass) {
+  if (!Bypass)
     D.Listing = exportAnnotatedListing(Prog, Run);
-    CheckerSummary Summary = checkBufferOverruns(Prog, Run);
-    for (const AccessCheck &C : Summary.Checks)
-      D.Alarms += C.str(Prog) + "\n";
-  }
+  CheckerSummary Summary = checkBufferOverruns(Prog, Run);
+  for (const AccessCheck &C : Summary.Checks)
+    D.Alarms += C.str(Prog) + "\n";
   D.Visits = Run.Sparse->Visits;
   D.StateEntries = Run.Sparse->StateEntries;
   for (uint32_t N = 0; N < Run.Graph->numNodes(); ++N)
@@ -174,10 +173,10 @@ TEST(ParallelDeterminismTest, AllJobCountsProduceIdenticalResults) {
 }
 
 TEST(ParallelDeterminismTest, BypassGraphsAndResultsIndependentOfJobs) {
-  // The default configuration (what spa-analyze prog.spa --jobs=N and
-  // spa-serve run): the bypass contraction runs per location on the
-  // pool lanes, and its graph, hence everything downstream, must not
-  // depend on how locations were spread over them.
+  // The default configuration (what spa-analyze prog.spa --jobs=N,
+  // --check and spa-serve run): the bypass contraction runs per
+  // location on the pool lanes, and its graph, hence everything
+  // downstream, must not depend on how locations were spread over them.
   expectIdenticalAcrossJobCounts(/*Rounds=*/100, /*Bypass=*/true);
 }
 
