@@ -49,8 +49,9 @@ struct Fnv {
 //
 // A partition's signature covers everything the sparse fixpoint reads
 // about its nodes: commands (with callee bindings for call plumbing),
-// def/use sets, widening flags, scheduling priority *ranks*, and the
-// dependency edges — with cross-references remapped to member indices so
+// def/use sets, widening flags, scheduling priority *ranks*, the
+// dependency edges, and the T̂pre block sizes that bound the widening on
+// them — with cross-references remapped to member indices so
 // a partition keeps its signature when unrelated code above it shifts
 // node ids... which it deliberately does NOT do for LocIds: abstract
 // values embed raw LocIds (points-to sets), so two partitions are only
@@ -116,6 +117,19 @@ void hashCommand(Fnv &F, const Command &C,
   }
 }
 
+/// Hashes an interval.  Canonical bottom: isBot() admits any Lo > Hi
+/// representation but operator== treats them all equal, so the digest
+/// must too.
+void hashItv(Fnv &F, const Interval &I) {
+  if (I.isBot()) {
+    F.i64(bound::PosInf);
+    F.i64(bound::NegInf);
+  } else {
+    F.i64(I.lo());
+    F.i64(I.hi());
+  }
+}
+
 void hashLocList(Fnv &F, const Program &Prog, std::span<const LocId> Ls) {
   F.u32(static_cast<uint32_t>(Ls.size()));
   for (LocId L : Ls) {
@@ -149,8 +163,11 @@ uint64_t optionsSalt(const AnalyzerOptions &Opts) {
   return F.H;
 }
 
+/// \p Bound is the state the sparse widening meets widened block sizes
+/// with (SparseOptions::DegradeTo; null = unbounded).
 PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
-                                const SparseGraph &Graph, uint64_t Salt) {
+                                const SparseGraph &Graph,
+                                const AbsState *Bound, uint64_t Salt) {
   PartitionInfo P;
   DepComponents DC = computeDepComponents(Prog, Graph);
   size_t N = Graph.numNodes();
@@ -232,9 +249,16 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
       // Dependency edges, destination remapped (components are closed,
       // so every destination is a member).  Collected and sorted to be
       // independent of the storage backend's enumeration order.
+      // An edge that may widen (the engine's test in core/Fixpoint.h)
+      // meets the widened size with Bound's at its location: a
+      // flow-insensitive join over every write in the program, which an
+      // edit outside the component can move, so it is hashed too.
       std::vector<std::pair<uint32_t, uint32_t>> Edges;
+      std::vector<LocId> Bounded;
       Graph.Edges->forEachOut(Node, [&](LocId L, uint32_t Dst) {
         Edges.emplace_back(L.value(), IdxOf[Dst]);
+        if (Bound && (Sched.WidenNode[Dst] || Prio[Node] >= Prio[Dst]))
+          Bounded.push_back(L);
       });
       std::sort(Edges.begin(), Edges.end());
       F.u32(static_cast<uint32_t>(Edges.size()));
@@ -242,6 +266,12 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
         F.u32(L);
         F.u32(Dst);
       }
+      std::sort(Bounded.begin(), Bounded.end());
+      Bounded.erase(std::unique(Bounded.begin(), Bounded.end()),
+                    Bounded.end());
+      F.u32(static_cast<uint32_t>(Bounded.size()));
+      for (LocId L : Bounded)
+        hashItv(F, Bound->get(L).Size);
     }
     P.Sigs[C] = F.H;
 
@@ -252,20 +282,9 @@ PartitionInfo computePartitions(const Program &Prog, const CallGraphInfo &CG,
 }
 
 void hashValue(Fnv &F, const Value &V) {
-  auto Itv = [&](const Interval &I) {
-    // Canonical bottom: isBot() admits any Lo > Hi representation but
-    // operator== treats them all equal, so the digest must too.
-    if (I.isBot()) {
-      F.i64(bound::PosInf);
-      F.i64(bound::NegInf);
-    } else {
-      F.i64(I.lo());
-      F.i64(I.hi());
-    }
-  };
-  Itv(V.Itv);
-  Itv(V.Offset);
-  Itv(V.Size);
+  hashItv(F, V.Itv);
+  hashItv(F, V.Offset);
+  hashItv(F, V.Size);
   F.u32(static_cast<uint32_t>(V.Pts.size()));
   for (LocId L : V.Pts)
     F.u32(L.value());
@@ -609,7 +628,8 @@ ServeErrc Service::analyze(const AnalyzeRequest &Req, AnalyzeResponse &Resp,
   if (Incremental) {
     AOpts.BeforeSparseFix = [&](const AnalysisRun &Run,
                                 SparseOptions &SOpts) {
-      Parts = computePartitions(*Prog, Run.Pre.CG, *Run.Graph, Salt);
+      Parts = computePartitions(*Prog, Run.Pre.CG, *Run.Graph,
+                                SOpts.DegradeTo, Salt);
       bool AnyReuse = false;
       for (uint32_t C = 0; C < Parts.Sigs.size(); ++C) {
         const CacheEntry *Found = nullptr;

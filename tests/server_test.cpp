@@ -218,6 +218,90 @@ TEST(ServeService, EditStormWarmEqualsColdAndReusesPartitions) {
   EXPECT_TRUE(SawPartialReuse);
 }
 
+namespace {
+
+/// main rotates seven block pointers through globals, one step per loop
+/// iteration, so g's block size at the loop head changes more often than
+/// the widening delay allows and is widened.  The setters are declared
+/// in the reverse of their call order, so the flow-insensitive
+/// pre-analysis joins the whole chain in one sweep, before it would
+/// widen: T̂pre(g).Size stays finite and bounds the widened size.
+/// writer() is never called: its dependency component holds only its
+/// own nodes, yet its alloc is part of T̂pre(g).Size.  alpha is a
+/// data-independent worker whose component an edit of writer() leaves
+/// reusable.
+std::string widenBoundSource(int WriterSize) {
+  char Buf[1024];
+  std::snprintf(Buf, sizeof(Buf),
+                "global g = 0;\nglobal a = 0;\nglobal b = 0;\n"
+                "global c = 0;\nglobal d = 0;\nglobal e = 0;\n"
+                "global f = 0;\n"
+                "fun writer() {\n  g = alloc(%d);\n  return 0;\n}\n"
+                "fun se() {\n  e = f;\n  return 0;\n}\n"
+                "fun sd() {\n  d = e;\n  return 0;\n}\n"
+                "fun sc() {\n  c = d;\n  return 0;\n}\n"
+                "fun sb() {\n  b = c;\n  return 0;\n}\n"
+                "fun sa() {\n  a = b;\n  return 0;\n}\n"
+                "fun sg() {\n  g = a;\n  return 0;\n}\n"
+                "fun alpha() {\n"
+                "  k = 0;\n"
+                "  while (k < 10) {\n"
+                "    k = k + 1;\n"
+                "  }\n"
+                "  return 0;\n"
+                "}\n"
+                "fun main() {\n"
+                "  g = alloc(1);\n  a = alloc(2);\n  b = alloc(3);\n"
+                "  c = alloc(4);\n  d = alloc(5);\n  e = alloc(6);\n"
+                "  f = alloc(7);\n"
+                "  alpha();\n"
+                "  i = 0;\n"
+                "  while (i < 10) {\n"
+                "    sg();\n    sa();\n    sb();\n"
+                "    sc();\n    sd();\n    se();\n"
+                "    i = i + 1;\n"
+                "  }\n"
+                "  q = g + 9;\n"
+                "  *q = 0;\n"
+                "  return 0;\n"
+                "}\n",
+                WriterSize);
+  return Buf;
+}
+
+} // namespace
+
+TEST(ServeService, EditMovingTheWideningBoundEqualsCold) {
+  // g's widened size is met with T̂pre(g).Size, a join over every write
+  // to g in the program, writer()'s included.  An edit of writer() alone
+  // must therefore re-solve main's component too, not adopt its cached
+  // states, which hold the old bound.  Without T̂pre's sizes in the
+  // partition signatures the warm responses kept size [1, 9].
+  Service Svc(defaultServiceOptions());
+  uint32_t Reused = 0;
+  for (int Size : {9, 20, 30}) {
+    const std::string Src = widenBoundSource(Size);
+    AnalyzeResponse Warm = mustAnalyze(Svc, Src, ReqFlagCheck);
+    EXPECT_EQ(Warm.CacheHit, 0u);
+    EXPECT_EQ(Warm.ResultDigest, coldDigest(Src)) << "size " << Size;
+    std::unique_ptr<Program> Prog = test::build(Src);
+    CheckerSummary Cold = analyzeAndCheck(*Prog);
+    ASSERT_EQ(Cold.Checks.size(), 1u);
+    // The bound reaches the check: q's block is at most writer()'s size.
+    EXPECT_NE(Cold.Checks[0].str(*Prog).find(
+                  "[1, " + std::to_string(Size) + "]"),
+              std::string::npos)
+        << Cold.Checks[0].str(*Prog);
+    std::string ColdAlarms;
+    for (const AccessCheck &C : Cold.Checks)
+      if (C.Result != AccessCheck::Verdict::Safe)
+        ColdAlarms += "  " + C.str(*Prog) + "\n";
+    EXPECT_EQ(Warm.AlarmsText, ColdAlarms) << "size " << Size;
+    Reused += Warm.PartitionsReused;
+  }
+  EXPECT_GT(Reused, 0u); // alpha's component: the edits did reuse.
+}
+
 TEST(ServeService, NoIncrementalAblationBypassesTheCache) {
   Service Svc(defaultServiceOptions());
   const std::string Src = multiSource(10, 100, 5);
