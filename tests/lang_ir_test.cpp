@@ -133,13 +133,18 @@ std::string longChain(size_t Terms) {
 
 TEST(Parser, NestingAtTheCapStillAnalyzes) {
   // 1024 levels — the snapshot loader's expression-depth cap — parse,
-  // build, analyze, and check.
+  // build, analyze, and check, on the contracted graph `--check` uses
+  // and on the full one `--list` and `--no-bypass` build.
   for (const std::string &Src :
        {deepParens(1024), deepIfs(1024), longChain(1024)}) {
     std::unique_ptr<Program> Prog = build(Src);
-    AnalysisRun Run = analyzeProgram(*Prog, AnalyzerOptions());
-    EXPECT_FALSE(Run.timedOut());
-    checkBufferOverruns(*Prog, Run);
+    for (bool Bypass : {true, false}) {
+      AnalyzerOptions Opts;
+      Opts.Dep.Bypass = Bypass;
+      AnalysisRun Run = analyzeProgram(*Prog, Opts);
+      EXPECT_FALSE(Run.timedOut()) << "bypass " << Bypass;
+      checkBufferOverruns(*Prog, Run);
+    }
   }
 }
 
