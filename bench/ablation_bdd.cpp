@@ -52,6 +52,7 @@ int main() {
     SparseGraph SetGraph = buildDepGraph(*Prog, Pre.CG, DU, SetOpts);
     double SetBuild = T1.seconds();
     SparseOptions SOpts;
+    SOpts.DegradeTo = &Pre.Global; // As analyzeProgram: bounds widening.
     Timer TF1;
     SparseResult SetFix = runSparseAnalysis(*Prog, Pre.CG, SetGraph, SOpts);
     double SetFixS = TF1.seconds();

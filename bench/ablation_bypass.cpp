@@ -60,6 +60,7 @@ Outcome measure(const Program &Prog, bool Bypass) {
   O.EdgesBefore = G.EdgesBeforeBypass;
   O.EdgesAfter = G.Edges->edgeCount();
   SparseOptions SOpts;
+  SOpts.DegradeTo = &Pre.Global; // As analyzeProgram: bounds widening.
   Timer TF;
   SparseResult S = runSparseAnalysis(Prog, Pre.CG, G, SOpts);
   O.FixSeconds = TF.seconds();

@@ -66,6 +66,7 @@ Outcome measure(const Program &Prog, DepBuilderKind Kind) {
   O.BuildSeconds = T.seconds();
   O.Edges = G.Edges->edgeCount();
   SparseOptions SOpts;
+  SOpts.DegradeTo = &Pre.Global; // As analyzeProgram: bounds widening.
   Timer TF;
   runSparseAnalysis(Prog, Pre.CG, G, SOpts);
   O.FixSeconds = TF.seconds();

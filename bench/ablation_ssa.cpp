@@ -70,6 +70,7 @@ int main() {
     double RdBuild = T2.seconds();
 
     SparseOptions SOpts;
+    SOpts.DegradeTo = &Pre.Global; // As analyzeProgram: bounds widening.
     Timer TF;
     runSparseAnalysis(Prog, Pre.CG, Rd, SOpts);
     double RdFix = TF.seconds();

@@ -62,9 +62,10 @@ struct SparseOptions {
   /// the result degrades soundly (see DegradeTo).  Null = no budget.
   Budget *Bud = nullptr;
   /// Sound degradation fallback: nodes forward-reachable from pending
-  /// worklist entries join this state restricted to their def/use sets
-  /// (normally T̂pre; null = all-⊤).  It also bounds the widened block
-  /// sizes of the interval domain (null = unbounded).
+  /// worklist entries join this state restricted to their def/use sets.
+  /// It also bounds the widened block sizes of the interval domain.
+  /// Every sparse interval run in the tree sets it to T̂pre; null means
+  /// no pre-analysis is at hand (all-⊤ fallback, unbounded widening).
   const AbsState *DegradeTo = nullptr;
   /// Per-node cost ledger (docs/OBSERVABILITY.md "Ledger").  The engine
   /// resizes it to the node count and fills count rows deterministically
