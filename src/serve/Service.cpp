@@ -368,12 +368,11 @@ Service::Service(ServiceOptions O) : Opts(std::move(O)) {
   // without it every local threads through _start's entry node and the
   // whole program is one component.  So the server analyzes exactly the
   // way a default `spa-analyze` run does (bypass on), and checks on that
-  // run, as `spa-analyze --check` does: the checker reads pointer
-  // operands only at points that use them, which the contraction keeps,
-  // and the widening is bounded by T̂pre, so served verdicts equal cold
-  // ones (docs/SERVER.md; tests/server_test.cpp pins both).  Keeping the
-  // options fixed also makes cache entries independent of the
-  // per-request check flag.
+  // run, as `spa-analyze --check` does, so served verdicts equal cold
+  // ones (docs/SERVER.md; tests/server_test.cpp pins it).  The checker
+  // reads pointer operands only at points that use them, which the
+  // contraction keeps.  Keeping the options fixed also makes cache
+  // entries independent of the per-request check flag.
   Opts.Analyzer.Engine = EngineKind::Sparse;
   StartMicros = obs::obsNowMicros();
   LastTelemetryMicros = StartMicros;

@@ -25,9 +25,9 @@
 /// Also pins the checker on the graph the Service analyzes: the Service,
 /// like `spa-analyze --check`, keeps bypass ON (dependency partitions
 /// only separate under it).  With the widening bounded by T̂pre the
-/// contracted and the full graph reach the same verdicts, served
-/// verdicts equal cold ones, and they flag every overrun the interpreter
-/// reaches (docs/SERVER.md).
+/// contracted and the full graph reach the same verdicts on the pinned
+/// programs, served verdicts equal cold ones, and they flag every
+/// overrun the interpreter reaches (docs/SERVER.md).
 ///
 //===----------------------------------------------------------------------===//
 
