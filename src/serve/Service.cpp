@@ -367,12 +367,12 @@ Service::Service(ServiceOptions O) : Opts(std::move(O)) {
   // components, and those only separate under the bypass contraction:
   // without it every local threads through _start's entry node and the
   // whole program is one component.  So the server analyzes exactly the
-  // way a default `spa-analyze` run does (bypass on), and checks on that
-  // run, as `spa-analyze --check` does, so served verdicts equal cold
-  // ones (docs/SERVER.md; tests/server_test.cpp pins it).  The checker
-  // reads pointer operands only at points that use them, which the
-  // contraction keeps.  Keeping the options fixed also makes cache
-  // entries independent of the per-request check flag.
+  // way a default `spa-analyze` run does (bypass on, widening bounded by
+  // T̂pre), and checks on that run, as `spa-analyze --check` does, so
+  // served verdicts equal cold ones (docs/SERVER.md; tests/server_test.cpp
+  // pins it).  The checker reads pointer operands only at points that use
+  // them, which the contraction keeps.  Keeping the options fixed also
+  // makes cache entries independent of the per-request check flag.
   Opts.Analyzer.Engine = EngineKind::Sparse;
   StartMicros = obs::obsNowMicros();
   LastTelemetryMicros = StartMicros;

@@ -105,7 +105,8 @@ struct BatchItemResult {
 struct BatchOptions {
   AnalyzerOptions Analyzer;
   /// Also run the buffer-overrun checker per program, on the analyzer's
-  /// own (by default contracted) graph, as `spa-analyze --check` does.
+  /// own (by default contracted) graph, whose widening T̂pre bounds, as
+  /// `spa-analyze --check` and spa-serve do; their verdicts are equal.
   bool Check = false;
   /// Hard wall-clock kill limit per item in a shard worker, in seconds.
   /// 0 derives 4 * Budget.DeadlineSec + 1 when the deadline is set (a
