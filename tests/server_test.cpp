@@ -275,8 +275,8 @@ TEST(ServeService, EditMovingTheWideningBoundEqualsCold) {
   // g's widened size is met with T̂pre(g).Size, a join over every write
   // to g in the program, writer()'s included.  An edit of writer() alone
   // must therefore re-solve main's component too, not adopt its cached
-  // states, which hold the old bound.  Without T̂pre's sizes in the
-  // partition signatures the warm responses kept size [1, 9].
+  // states, which hold the old bound: a signature blind to T̂pre's sizes
+  // would serve size [1, 9] for every edit.
   Service Svc(defaultServiceOptions());
   uint32_t Reused = 0;
   for (int Size : {9, 20, 30}) {
